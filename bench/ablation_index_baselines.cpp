@@ -4,6 +4,7 @@
 // CSR-DU. Reports matrix size relative to CSR and serial + multithreaded
 // SpMV time on a corpus subset.
 #include <iostream>
+#include <string>
 
 #include "spc/bench/harness.hpp"
 #include "spc/support/strutil.hpp"
@@ -19,8 +20,13 @@ void run() {
   std::cout << "=== Ablation: index baselines (CSR / CSR16 / BCSR / DCSR "
                "/ CSR-DU) ===\n[" << cfg.describe() << "]\n";
 
-  TextTable table({"matrix", "format", "size/csr", "serial ms",
-                   "x" + std::to_string(mt) + " ms", "mt speedup vs csr"});
+  // Built by appends: GCC 12 raises a false -Wrestrict on the
+  // literal + to_string + literal chain.
+  std::string mt_col = "x";
+  mt_col += std::to_string(mt);
+  mt_col += " ms";
+  TextTable table({"matrix", "format", "size/csr", "serial ms", mt_col,
+                   "mt speedup vs csr"});
   for_each_matrix(cfg, [&](MatrixCase& mc) {
     InstanceOptions opts;
     opts.pin_threads = cfg.pin_threads;

@@ -23,6 +23,13 @@
 // and "reduce_ns"; profile_report turns reduce_ns into a share of the
 // timed loop per cell.
 //
+// A second table sets symmetric storage (§III-C, Lee et al.) against
+// the paper's compression formats on the same inputs: size relative to
+// CSR plus serial and top-thread-count time for CSR, CSR-DU, CSR-VI and
+// both symmetric formats. SSS halves index *and* value data — the
+// largest working-set cut available — but pays the scatter and, when
+// multithreaded, the reduction above.
+//
 // Usage: ablation_sym [--smoke] [--gate]
 //   --smoke: two small matrices, few iterations — CI wiring check.
 //   --gate:  exit 1 unless, on every banded cell at the highest thread
@@ -151,6 +158,35 @@ bool verify_bits(const SymCase& sc, Format fmt, std::size_t threads) {
   return ok;
 }
 
+// Storage comparison: size/csr and serial vs top-thread-count time.
+void print_storage_table(const std::vector<SymCase>& cases,
+                         const BenchConfig& cfg, std::size_t max_threads) {
+  std::string mt_col = "x";
+  mt_col += std::to_string(max_threads);
+  mt_col += " ms";
+  TextTable table({"matrix", "format", "size/csr", "serial ms", mt_col});
+  for (const SymCase& sc : cases) {
+    InstanceOptions opts;
+    opts.pin_threads = cfg.pin_threads;
+    double csr_bytes = 0.0;
+    for (const Format f : {Format::kCsr, Format::kCsrDu, Format::kCsrVi,
+                           Format::kSymCsr, Format::kSymCsrVi}) {
+      SpmvInstance s1(sc.mat, f, 1, opts);
+      SpmvInstance sn(sc.mat, f, max_threads, opts);
+      const auto bytes = static_cast<double>(s1.matrix_bytes());
+      if (f == Format::kCsr) {
+        csr_bytes = bytes;
+      }
+      table.add_row(
+          {sc.name, format_name(f), fmt_fixed(bytes / csr_bytes, 2),
+           fmt_fixed(time_spmv(s1, cfg.iterations, cfg.warmup) * 1e3, 2),
+           fmt_fixed(time_spmv(sn, cfg.iterations, cfg.warmup) * 1e3, 2)});
+    }
+  }
+  std::cout << "\nStorage: symmetric (SSS) vs CSR / CSR-DU / CSR-VI\n";
+  table.print(std::cout);
+}
+
 int run(bool smoke, bool gate) {
   // The sweep sets the reduction mode programmatically; a stray
   // environment override would collapse every cell to one scheme.
@@ -271,6 +307,7 @@ int run(bool smoke, bool gate) {
                "share of the timed loop. Scalar-tier window/private "
                "bit-identity (and 1e-12 agreement with serial) is "
                "checked before timing.\n";
+  print_storage_table(cases, cfg, max_threads);
   if (gate) {
     std::cout << (gates_ok ? "\nGATES PASS\n" : "\nGATES FAIL\n");
   }

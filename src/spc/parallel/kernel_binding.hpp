@@ -9,7 +9,8 @@
 //
 // Closures must capture only state that survives a move of the owning
 // instance: heap-backed array data pointers (aligned_vector storage is
-// stable across container moves) and by-value PODs (slices, row bounds).
+// stable across container moves), pointers to the heap-held encoded
+// matrix (spmv/format_ops.hpp), and by-value PODs (slices, row bounds).
 // Never capture references or pointers to the instance's members
 // themselves — those relocate when the instance moves.
 #pragma once
@@ -24,9 +25,7 @@ namespace spc {
 /// One bound kernel invocation: y = (my part of A) * x.
 using BoundKernel = std::function<void(const value_t* x, value_t* y)>;
 
-/// The bound kernels of one prepared instance. Empty (bound() == false)
-/// for formats the dispatch layer does not route, which keep their
-/// format-specific execution paths.
+/// The bound kernels of one prepared instance.
 struct KernelBinding {
   BoundKernel serial;                    ///< full-matrix kernel
   std::vector<BoundKernel> per_thread;   ///< one per worker (MT instances)
@@ -35,8 +34,6 @@ struct KernelBinding {
   /// chunk row ranges are disjoint, so any executing worker writes its
   /// own rows of y and results match static bit-for-bit.
   std::vector<BoundKernel> per_chunk;
-
-  bool bound() const { return static_cast<bool>(serial); }
 
   void clear() {
     serial = nullptr;

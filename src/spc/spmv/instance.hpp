@@ -12,7 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "spc/formats/bcsr.hpp"
@@ -37,6 +37,7 @@
 #include "spc/parallel/schedule.hpp"
 #include "spc/parallel/thread_pool.hpp"
 #include "spc/spmv/dispatch.hpp"
+#include "spc/spmv/format_ops.hpp"
 #include "spc/spmv/sym_spmv.hpp"
 #include "spc/spmv/tiling.hpp"
 #include "spc/support/first_touch.hpp"
@@ -188,9 +189,9 @@ class SpmvInstance {
 
   /// True when run_on_caller() can execute this instance: a serial
   /// kernel is bound and computes bit-identically to the pooled run.
-  /// False for the two-phase paths (symmetric scatter/reduce, CSC,
-  /// DIA/JDS/COO) and for tiled instances under NUMA placement (the
-  /// serial binding reads one worker's arena copy).
+  /// False for the multithreaded two-phase paths (symmetric
+  /// scatter/reduce, CSC's private-y sum), whose serial kernel
+  /// reassociates the sums.
   bool can_run_on_caller() const;
 
   /// Degraded-mode execution: computes y = A*x entirely on the calling
@@ -220,9 +221,7 @@ class SpmvInstance {
 
   /// Unit-class histogram of the ctl stream for DU-based formats;
   /// nullptr for every other format.
-  const CsrDu::UnitHistogram* du_histogram() const {
-    return has_du_hist_ ? &du_hist_ : nullptr;
-  }
+  const CsrDu::UnitHistogram* du_histogram() const;
 
   /// The partition in use (empty bounds for serial-only formats).
   const RowPartition& partition() const { return partition_; }
@@ -369,18 +368,16 @@ class SpmvInstance {
   /// The run()/run_probe() execution body (serial-vs-parallel split),
   /// under the run mutex when this instance shares its pool.
   void run_locked(const Vector& x, Vector& y);
-  /// Runs body(tid) on every worker via the configured backend.
-  void dispatch(const std::function<void(std::size_t)>& body);
-  /// Pool-only raw dispatch for the scheduler executors (ctx = this).
-  void dispatch_raw(ThreadPool::RawJob fn);
+  /// Runs fn(this, tid) on every worker via the configured backend
+  /// (the pool, or an OpenMP parallel region).
+  void dispatch(ThreadPool::RawJob fn);
   /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
-  /// active, builds the chunk plan, the per-worker deques, and the
-  /// NUMA-near victim order. Called by the constructor after the pool
-  /// exists and *before* setup_numa (the DU chunk slices are computed
-  /// against the pristine ctl stream; setup_numa translates them into
-  /// each owner's arena block). `t` supplies the per-row nnz counts the
-  /// planner needs for formats without a row_ptr (the DU family, ELL).
-  void setup_schedule(const Triplets& t, const Topology& topo);
+  /// active, builds the chunk plan over the partition's cost profile
+  /// `costs`, the per-worker deques, and the NUMA-near victim order.
+  /// Called by the constructor after the pool exists and before
+  /// setup_tiling (whose blocks follow the chunks).
+  void setup_schedule(const aligned_vector<index_t>& costs,
+                      const Topology& topo);
   /// Resolves the NUMA policy and, when active, repacks every worker's
   /// matrix slice into a first-touched arena block (plus the x mirrors
   /// the replicate/interleave policies need). Called by the constructor
@@ -392,9 +389,12 @@ class SpmvInstance {
   /// static). Called after setup_schedule and before setup_numa, which
   /// repacks the tiled arrays instead of the matrix's when tiled_.
   void setup_tiling(const Triplets& t);
-  /// Binds the tiled execution closures (called by prepare() in place of
-  /// the per-format binding when tiled_).
-  void bind_tiled(const KernelTable& kt);
+  /// Unit range [begin, end) of the execution blocks worker `w` owns
+  /// (tile blocks when tiled, partition units otherwise).
+  std::pair<std::size_t, std::size_t> worker_blocks(std::size_t w) const;
+  /// The execution arrays: the tiled store's when tiled, else the
+  /// format's.
+  detail::ArraySet shared_arrays() const;
 
   Format format_;
   std::size_t nthreads_;
@@ -403,15 +403,15 @@ class SpmvInstance {
   usize_t nnz_ = 0;
   InstanceOptions opts_;
 
-  std::variant<Csr, Csr16, Coo, Csc, Bcsr, Ell, Dia, Jds, CsrDu, CsrVi,
-               CsrDuVi, Dcsr, SymCsr, SymCsrVi>
-      matrix_;
-  RowPartition partition_;               ///< row ranges (or column ranges for CSC)
-  std::vector<CsrDu::Slice> du_slices_;  ///< per-thread DU slices
-  std::vector<Dcsr::Slice> dcsr_slices_;
-  /// Per-thread private y for CSC and for the symmetric formats'
-  /// private-y fallback mode.
-  std::vector<Vector> csc_scratch_;
+  /// The format's table entry, holding the encoded matrix. Heap-held, so
+  /// closures may point into it across an instance move.
+  std::unique_ptr<detail::FormatOps> ops_;
+  RowPartition partition_;  ///< unit ranges, one per worker
+  /// Per-worker full-length y copies for the private-y reductions (CSC,
+  /// and the symmetric formats' private mode), summed over the even row
+  /// split reduce_rows_. Empty when no private-y reduction runs.
+  std::vector<Vector> private_y_;
+  RowPartition reduce_rows_;
   std::unique_ptr<ThreadPool> pool_;    ///< owned pool (classic ctor)
   std::shared_ptr<ThreadPool> shared_pool_;  ///< borrowed pool (engine)
   /// The pool runs execute on: pool_.get(), shared_pool_.get(), or
@@ -422,33 +422,17 @@ class SpmvInstance {
   /// (allocated only when sharing) to keep the defaulted move ctor.
   std::unique_ptr<std::mutex> run_mu_;
   std::vector<InstanceDecision> decisions_;
-  // Prepared by prepare(): dispatch tier, bound kernels, and per-format
-  // precomputation that would otherwise sit on the timed path.
+  // Prepared by prepare(): dispatch tier and bound kernels.
   IsaTier tier_ = IsaTier::kScalar;
   KernelBinding binding_;
-  CsrDu::UnitHistogram du_hist_;
-  bool has_du_hist_ = false;
-  RowPartition csc_reduce_rows_;  ///< reduce-phase row split for CSC
   // NUMA placement (set up once by setup_numa, off the timed path): the
   // resolved policy, each worker's node, the arena holding the repacked
-  // per-thread slices and x mirrors, and the pointers prepare() rebinds
-  // the per-thread kernels against.
+  // per-worker arrays and x mirrors, and the per-worker array pointers
+  // prepare() binds against (rebased, so kernels keep absolute indices).
   NumaPolicy numa_policy_ = NumaPolicy::kOff;
   std::vector<int> thread_node_;
   std::unique_ptr<FirstTouchArena> arena_;
-  /// Per-thread repacked array pointers. row_ptr/col_ind/values are
-  /// rebased or 0-based per format so the unchanged kernels index them
-  /// with the same absolute positions as the shared arrays.
-  struct NumaSlice {
-    const index_t* row_ptr = nullptr;
-    const void* col_ind = nullptr;  ///< element type is per-format
-    const value_t* values = nullptr;
-    const void* val_ind = nullptr;  ///< CSR-VI / CSR-DU-VI value indices
-    /// Symmetric formats: the rebased diagonal (value_t for sym-csr,
-    /// width-typed diag indices for sym-csr-vi).
-    const void* diag = nullptr;
-  };
-  std::vector<NumaSlice> numa_slices_;
+  std::vector<detail::ArraySet> numa_arrays_;  ///< one per worker
   std::vector<const value_t*> numa_x_ptr_;  ///< per-thread x replica
   /// Per-thread refresh jobs run before the kernels each run() when x
   /// mirrors exist: worker t copies its chunk of the user x into the
@@ -458,31 +442,18 @@ class SpmvInstance {
   obs::Counter* runs_counter_ = nullptr;
   obs::LatencyHisto* run_histo_ = nullptr;
   // Column tiling (set up once by setup_tiling, off the timed path): the
-  // resolved plan, the stripe-major store that replaces the matrix's
-  // execution arrays, which worker owns each block, the per-tile DU
-  // slices (DU family; rewritten in place by the NUMA repack), and the
-  // per-worker array pointers the tiled closures read (shared store by
-  // default, arena copies under NUMA).
+  // resolved plan and the stripe-major store that replaces the matrix's
+  // execution arrays. Its blocks follow the chunk plan under the dynamic
+  // schedules and the partition under static.
   TilePlan tile_plan_;
   TiledStore tile_store_;
   bool tiled_ = false;
-  std::vector<std::uint32_t> tile_block_owner_;  ///< one per block
-  std::vector<CsrDu::Slice> tile_du_slices_;     ///< one per tile
-  struct TileArrays {
-    const index_t* seg_ptr = nullptr;  ///< rebased: index with absolute seg
-    const index_t* seg_row = nullptr;
-    const std::uint32_t* col = nullptr;  ///< 0-based within the worker span
-    const value_t* val = nullptr;
-    const void* vi = nullptr;
-  };
-  std::vector<TileArrays> tile_arrays_;  ///< one per worker
   // Dynamic scheduling (set up once by setup_schedule, off the timed
-  // path): the resolved schedule, the row-aligned chunk plan, per-chunk
-  // DU slices (DU formats only), one deque of owned chunks per worker,
-  // and each worker's NUMA-near-first victim order.
+  // path): the resolved schedule, the unit-aligned chunk plan, one deque
+  // of owned chunks per worker, and each worker's NUMA-near-first victim
+  // order.
   Schedule sched_ = Schedule::kStatic;
   ChunkPlan chunk_plan_;
-  std::vector<CsrDu::Slice> du_chunk_slices_;  ///< one per chunk
   std::vector<ChunkDeque> deques_;             ///< one per worker
   std::vector<std::vector<std::uint32_t>> steal_victims_;
   /// Per-worker chunk counters, cache-line padded; written only by the
@@ -494,16 +465,16 @@ class SpmvInstance {
   std::vector<SchedSlot> sched_slots_;
   obs::Counter* sched_steals_counter_ = nullptr;
   /// The current run's vectors, published to the static executor jobs
-  /// before dispatch_raw (pool handshake orders the accesses).
+  /// before dispatch (pool handshake orders the accesses).
   struct RunArgs {
     const value_t* x = nullptr;
     value_t* y = nullptr;
   };
   RunArgs run_args_;
-  // Symmetric conflict-window execution (kSymCsr / kSymCsrVi, pool
-  // backend): the resolved reduction strategy, the per-thread window
-  // plan, the window buffers (arena-backed under NUMA, heap otherwise;
-  // private mode reuses csc_scratch_), and the reduction-phase timer.
+  // Symmetric conflict-window execution (kSymCsr / kSymCsrVi): the
+  // resolved reduction strategy, the per-thread window plan, the window
+  // buffers (arena-backed under NUMA, heap otherwise; private mode uses
+  // private_y_), and the reduction-phase timer.
   bool sym_active_ = false;
   SymReduce sym_reduce_ = SymReduce::kWindow;
   SymWindowPlan sym_plan_;
@@ -512,19 +483,22 @@ class SpmvInstance {
   std::uint64_t sym_reduce_ns_ = 0;
   obs::Counter* sym_reduce_counter_ = nullptr;
   TuneProvenance tune_;
-  /// Static executor jobs for dispatch_raw (ctx = the instance). The
+  /// Static executor jobs for dispatch (ctx = the instance). The
   /// raw-callable path keeps the per-run cost at one function-pointer
   /// call per worker — no std::function allocation on the timed path.
   static void static_job(void* ctx, std::size_t tid);
   static void chunked_job(void* ctx, std::size_t tid);
   static void steal_job(void* ctx, std::size_t tid);
   static void xcopy_job(void* ctx, std::size_t tid);
-  /// Symmetric-path executors: the compute job zeroes the worker's
-  /// window (or private scratch) then runs its rows — statically or as
-  /// its owned chunks under kChunked; the reduce job folds the
-  /// overlapping windows (or sums the private copies) into y.
-  static void sym_compute_job(void* ctx, std::size_t tid);
-  static void sym_reduce_job(void* ctx, std::size_t tid);
+  /// Two-phase executors (private-y and symmetric reductions): the
+  /// compute job zeroes the worker's private y (or window) and runs its
+  /// units — statically, or as its owned chunks under kChunked; the
+  /// reduce job sums the private copies (or folds the overlapping
+  /// windows) into y.
+  static void compute_job(void* ctx, std::size_t tid);
+  static void reduce_job(void* ctx, std::size_t tid);
+  /// Runs the worker's owned chunks in order (kChunked).
+  void run_owned_chunks(std::size_t tid, const value_t* x, value_t* y);
   /// The x pointer worker `th` should read (its NUMA replica when the
   /// replicate policy is active, the caller's x otherwise).
   const value_t* worker_x(std::size_t th) const {

@@ -1,10 +1,8 @@
 #include "spc/spmv/sym_spmv.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "spc/support/env.hpp"
-#include "spc/support/topology.hpp"
 
 namespace spc {
 
@@ -86,196 +84,6 @@ SymWindowPlan plan_sym_windows(const index_t* row_ptr,
       break;
   }
   return plan;
-}
-
-void spmv_sym_rows_raw(const index_t* row_ptr, const index_t* col_ind,
-                       const value_t* values, const value_t* diag,
-                       const value_t* x, value_t* y, index_t row_begin,
-                       index_t row_end) {
-  spmv_sym_csr_win(row_ptr, col_ind, values, diag, x, y, /*win=*/nullptr,
-                   /*win_begin=*/0, /*direct_begin=*/0, row_begin, row_end);
-}
-
-void spmv_sym_rows(const SymCsr& m, const value_t* x, value_t* y,
-                   index_t row_begin, index_t row_end) {
-  spmv_sym_rows_raw(m.row_ptr().data(), m.col_ind().data(),
-                    m.values().data(), m.diag().data(), x, y, row_begin,
-                    row_end);
-}
-
-SymSpmv::SymSpmv(const Triplets& t, std::size_t nthreads, bool pin_threads,
-                 NumaPolicy numa, SymReduce reduce)
-    : m_(SymCsr::from_triplets(t)),
-      nthreads_(std::max<std::size_t>(1, nthreads)) {
-  if (nthreads_ <= 1) {
-    return;
-  }
-  // Balance by stored (lower-triangle) elements.
-  partition_ = partition_rows_by_nnz(m_.row_ptr(), nthreads_);
-  plan_ = plan_sym_windows(m_.row_ptr().data(), m_.col_ind().data(),
-                           partition_, nthreads_, m_.nrows(),
-                           sym_reduce_from_env(reduce));
-  reduce_mode_ = plan_.use_window ? SymReduce::kWindow : SymReduce::kPrivate;
-
-  Topology topo;
-  std::vector<int> plan;
-  if (pin_threads) {
-    topo = discover_topology();
-    plan = plan_placement(topo, nthreads_, Placement::kCloseFirst);
-  }
-  pool_ = std::make_unique<ThreadPool>(nthreads_, plan);
-
-  const auto buffer_len = [&](std::size_t th) -> usize_t {
-    if (reduce_mode_ == SymReduce::kPrivate) {
-      return m_.nrows();
-    }
-    return partition_.row_begin(th) - plan_.win_begin[th];
-  };
-
-  NumaPolicy policy = NumaPolicy::kOff;
-  if (!plan.empty()) {
-    policy = resolve_numa_policy(numa_policy_from_env(numa),
-                                 topo.num_nodes());
-  }
-  if (policy == NumaPolicy::kOff) {
-    scratch_.reserve(nthreads_);
-    for (std::size_t th = 0; th < nthreads_; ++th) {
-      scratch_.emplace_back(buffer_len(th), 0.0);
-    }
-    return;
-  }
-
-  // Repack each thread's row slice — rebased row_ptr, 0-based
-  // col_ind/values, rebased diag — plus its window (or full private-y)
-  // buffer into a block first-touched by the owner. Copies preserve
-  // values and order exactly, so results stay bit-identical.
-  const index_t* rp = m_.row_ptr().data();
-  arena_ = std::make_unique<FirstTouchArena>(nthreads_);
-  struct Plan {
-    FirstTouchArena::Handle rp, ci, val, diag, scratch;
-  };
-  std::vector<Plan> ph(nthreads_);
-  for (std::size_t th = 0; th < nthreads_; ++th) {
-    const index_t b = partition_.row_begin(th);
-    const index_t e = partition_.row_end(th);
-    const usize_t nnz = rp[e] - rp[b];
-    ph[th].rp = arena_->reserve<index_t>(th, e - b + 1);
-    ph[th].ci = arena_->reserve<index_t>(th, nnz);
-    ph[th].val = arena_->reserve<value_t>(th, nnz);
-    ph[th].diag = arena_->reserve<value_t>(th, e - b);
-    ph[th].scratch = arena_->reserve<value_t>(th, buffer_len(th));
-  }
-  arena_->allocate();
-  pool_->run([&](std::size_t th) { arena_->first_touch(th); });
-  numa_.resize(nthreads_);
-  for (std::size_t th = 0; th < nthreads_; ++th) {
-    const index_t b = partition_.row_begin(th);
-    const index_t e = partition_.row_end(th);
-    const usize_t nnz = rp[e] - rp[b];
-    index_t* lrp = arena_->data<index_t>(ph[th].rp);
-    for (index_t i = b; i <= e; ++i) {
-      lrp[i - b] = rp[i] - rp[b];
-    }
-    numa_[th].row_ptr = rebase_ptr<const index_t>(lrp, b);
-    index_t* lci = arena_->data<index_t>(ph[th].ci);
-    std::memcpy(lci, m_.col_ind().data() + rp[b], nnz * sizeof(index_t));
-    numa_[th].col_ind = lci;
-    value_t* lv = arena_->data<value_t>(ph[th].val);
-    std::memcpy(lv, m_.values().data() + rp[b], nnz * sizeof(value_t));
-    numa_[th].values = lv;
-    value_t* ld = arena_->data<value_t>(ph[th].diag);
-    std::memcpy(ld, m_.diag().data() + b, (e - b) * sizeof(value_t));
-    numa_[th].diag = rebase_ptr<const value_t>(ld, b);
-    numa_[th].scratch = arena_->data<value_t>(ph[th].scratch);
-  }
-  numa_policy_ = policy;
-}
-
-void SymSpmv::run(const Vector& x, Vector& y) {
-  SPC_CHECK_MSG(x.size() == m_.nrows() && y.size() == m_.nrows(),
-                "dimension mismatch");
-  if (nthreads_ == 1) {
-    spmv(m_, x.data(), y.data());
-    return;
-  }
-  const index_t nrows = m_.nrows();
-  const value_t* const xp = x.data();
-  value_t* const yp = y.data();
-  const index_t* const rp0 = m_.row_ptr().data();
-  const index_t* const ci0 = m_.col_ind().data();
-  const value_t* const val0 = m_.values().data();
-  const value_t* const diag0 = m_.diag().data();
-
-  if (reduce_mode_ == SymReduce::kWindow) {
-    pool_->run([&](std::size_t th) {
-      const index_t b = partition_.row_begin(th);
-      const index_t e = partition_.row_end(th);
-      value_t* const win = scratch_ptr(th);
-      const index_t wb = plan_.win_begin[th];
-      std::fill(win, win + (b - wb), 0.0);
-      if (numa_.empty()) {
-        spmv_sym_csr_win(rp0, ci0, val0, diag0, xp, yp, win, wb,
-                         /*direct_begin=*/b, b, e);
-      } else {
-        const ThreadArrays& a = numa_[th];
-        spmv_sym_csr_win(a.row_ptr, a.col_ind, a.values, a.diag, xp, yp,
-                         win, wb, /*direct_begin=*/b, b, e);
-      }
-    });
-    if (plan_.total_rows == 0) {
-      return;  // no conflicts at all — nothing to reduce
-    }
-    // Each thread folds the overlapping windows into the compute rows it
-    // just wrote (cache/NUMA-local). Windows are folded in ascending
-    // thread order so the accumulation order is deterministic.
-    pool_->run([&](std::size_t th) {
-      const index_t r0 = partition_.row_begin(th);
-      const index_t r1 = partition_.row_end(th);
-      for (std::size_t t = 1; t < nthreads_; ++t) {
-        const index_t wb = plan_.win_begin[t];
-        const index_t we = partition_.row_begin(t);
-        const index_t lo = std::max(r0, wb);
-        const index_t hi = std::min(r1, we);
-        if (lo >= hi) {
-          continue;
-        }
-        const value_t* const win = scratch_ptr(t);
-        for (index_t r = lo; r < hi; ++r) {
-          yp[r] += win[r - wb];
-        }
-      }
-    });
-    return;
-  }
-
-  // Private-y fallback: every scatter lands in the thread's full-length
-  // scratch, then an even row split sums the copies.
-  pool_->run([&](std::size_t th) {
-    value_t* const sp = scratch_ptr(th);
-    std::fill(sp, sp + nrows, 0.0);
-    if (numa_.empty()) {
-      spmv_sym_csr_win(rp0, ci0, val0, diag0, xp, sp, /*win=*/nullptr,
-                       /*win_begin=*/0, /*direct_begin=*/0,
-                       partition_.row_begin(th), partition_.row_end(th));
-    } else {
-      const ThreadArrays& a = numa_[th];
-      spmv_sym_csr_win(a.row_ptr, a.col_ind, a.values, a.diag, xp, sp,
-                       /*win=*/nullptr, /*win_begin=*/0, /*direct_begin=*/0,
-                       partition_.row_begin(th), partition_.row_end(th));
-    }
-  });
-  const RowPartition rows = partition_rows_even(nrows, nthreads_);
-  pool_->run([&](std::size_t th) {
-    const index_t r0 = rows.row_begin(th);
-    const index_t r1 = rows.row_end(th);
-    std::fill(yp + r0, yp + r1, 0.0);
-    for (std::size_t s = 0; s < nthreads_; ++s) {
-      const value_t* const sp = scratch_ptr(s);
-      for (index_t r = r0; r < r1; ++r) {
-        yp[r] += sp[r];
-      }
-    }
-  });
 }
 
 }  // namespace spc

@@ -4,6 +4,7 @@
 #include "spc/formats/ell.hpp"
 #include "spc/formats/jds.hpp"
 #include "spc/gen/generators.hpp"
+#include "spc/spmv/instance.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -165,6 +166,43 @@ TEST(Jds, EmptyMatrix) {
   const Jds m = Jds::from_triplets(t);
   EXPECT_EQ(m.njdiags(), 0u);
   EXPECT_TRUE(m.to_triplets().empty());
+}
+
+// ------------------------------------------- rectangular shapes, run
+
+// Row-range kernels must not assume a square matrix: a tall DIA matrix
+// runs out of columns before its diagonals run out of rows (the main
+// diagonal included). Run through SpmvInstance serially and split.
+TEST(ClassicFormats, RectangularShapesMatchReference) {
+  Triplets tall(40, 4);  // offsets {0, -1}
+  for (index_t r = 0; r < 4; ++r) {
+    tall.add(r, r, 1.0 + r);
+    tall.add(r + 1, r, -2.0 - r);
+  }
+  tall.sort_and_combine();
+  Triplets wide(4, 40);  // offsets {0, +1, +30}
+  for (index_t r = 0; r < 4; ++r) {
+    wide.add(r, r, 1.5 + r);
+    wide.add(r, r + 1, 0.5);
+    wide.add(r, r + 30, -1.0);
+  }
+  wide.sort_and_combine();
+  for (const Triplets* t : {&tall, &wide}) {
+    Rng rng(t->nrows());
+    const Vector x = random_vector(t->ncols(), rng);
+    const Vector ref = test::reference_spmv(*t, x);
+    for (const Format f :
+         {Format::kDia, Format::kEll, Format::kJds, Format::kCsc}) {
+      for (const std::size_t threads : {1u, 2u}) {
+        SpmvInstance inst(*t, f, threads);
+        Vector y(t->nrows(), -7.0);
+        inst.run(x, y);
+        EXPECT_LT(max_abs_diff(ref, y), 1e-12)
+            << format_name(f) << " " << t->nrows() << "x" << t->ncols()
+            << " threads=" << threads;
+      }
+    }
+  }
 }
 
 class ClassicFormatsRoundTrip : public ::testing::TestWithParam<int> {};

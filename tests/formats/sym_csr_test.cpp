@@ -6,7 +6,9 @@
 
 #include "spc/formats/csr.hpp"
 #include "spc/gen/generators.hpp"
-#include "spc/spmv/sym_spmv.hpp"
+#include "spc/solvers/iterative.hpp"
+#include "spc/spmv/instance.hpp"
+#include "spc/spmv/kernels.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -88,62 +90,77 @@ TEST(SymCsr, SerialKernelMatchesReference) {
   EXPECT_LT(rel_error(ref, y), kTol);
 }
 
-class SymSpmvMt : public ::testing::TestWithParam<std::size_t> {};
+class SymCsrMt : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(SymSpmvMt, MatchesReferenceAcrossThreadCounts) {
+TEST_P(SymCsrMt, MatchesReferenceAcrossThreadCounts) {
   const Triplets t = random_symmetric(400, 2500, 11);
   Rng xr(12);
   const Vector x = random_vector(400, xr);
   const Vector ref = test::reference_spmv(t, x);
-  SymSpmv runner(t, GetParam());
+  SpmvInstance inst(t, Format::kSymCsr, GetParam());
   Vector y(400, 0.0);
-  runner.run(x, y);
+  inst.run(x, y);
   EXPECT_LT(rel_error(ref, y), kTol);
-  // Stability across repeated runs (scratch re-zeroing).
+  // Stability across repeated runs (window/scratch re-zeroing).
   Vector y2(400, 5.0);
-  runner.run(x, y2);
+  inst.run(x, y2);
   EXPECT_EQ(max_abs_diff(y, y2), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, SymSpmvMt,
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, SymCsrMt,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-TEST(SymSpmv, NumaRepackIsBitIdenticalToOff) {
+TEST(SymCsrInstance, NumaRepackIsBitIdenticalToOff) {
   // The repacked per-thread slices are verbatim copies and both phases
-  // run in the same order, so placement must not change a single bit.
-  test::ScopedEnv env("SPC_NUMA", "");  // ctor arg decides, not the env
+  // run in the same order, so placement must not change a single bit —
+  // in either reduction mode.
+  test::ScopedEnv env("SPC_NUMA", "");  // options decide, not the env
+  test::ScopedEnv reduce_env("SPC_SYM_REDUCE", "");
   const Triplets t = random_symmetric(500, 4000, 17);
   Rng xr(18);
   const Vector x = random_vector(500, xr);
+  for (const SymReduce mode : {SymReduce::kWindow, SymReduce::kPrivate}) {
+    InstanceOptions opts;
+    opts.sym_reduce = mode;
+    opts.numa = NumaPolicy::kOff;
+    SpmvInstance off(t, Format::kSymCsr, 4, opts);
+    EXPECT_EQ(off.numa_policy(), NumaPolicy::kOff);
+    Vector y_off(500, 0.0);
+    off.run(x, y_off);
 
-  SymSpmv off(t, 4, /*pin_threads=*/true, NumaPolicy::kOff);
-  EXPECT_EQ(off.numa_policy(), NumaPolicy::kOff);
-  Vector y_off(500, 0.0);
-  off.run(x, y_off);
+    // An explicit policy resolves as requested, even on one node.
+    opts.numa = NumaPolicy::kLocal;
+    SpmvInstance placed(t, Format::kSymCsr, 4, opts);
+    EXPECT_EQ(placed.numa_policy(), NumaPolicy::kLocal);
+    Vector y_placed(500, 0.0);
+    placed.run(x, y_placed);
+    EXPECT_EQ(max_abs_diff(y_off, y_placed), 0.0);
 
-  SymSpmv local(t, 4, /*pin_threads=*/true, NumaPolicy::kLocal);
-  EXPECT_EQ(local.numa_policy(), NumaPolicy::kLocal);
-  Vector y_local(500, 0.0);
-  local.run(x, y_local);
-  EXPECT_EQ(max_abs_diff(y_off, y_local), 0.0);
-
-  // Unpinned runs can't know worker nodes: placement resolves to off.
-  SymSpmv unpinned(t, 4, /*pin_threads=*/false, NumaPolicy::kLocal);
-  EXPECT_EQ(unpinned.numa_policy(), NumaPolicy::kOff);
-  Vector y_unpinned(500, 0.0);
-  unpinned.run(x, y_unpinned);
-  EXPECT_EQ(max_abs_diff(y_off, y_unpinned), 0.0);
+    // Unpinned runs can't know worker nodes: placement resolves to off.
+    opts.pin_threads = false;
+    SpmvInstance unpinned(t, Format::kSymCsr, 4, opts);
+    EXPECT_EQ(unpinned.numa_policy(), NumaPolicy::kOff);
+    Vector y_unpinned(500, 0.0);
+    unpinned.run(x, y_unpinned);
+    EXPECT_EQ(max_abs_diff(y_off, y_unpinned), 0.0);
+  }
 }
 
-TEST(SymSpmv, WorksInsideCg) {
+TEST(SymCsrInstance, WorksInsideCg) {
   // The symmetric format inside CG — the §III-C use case end-to-end.
   const Triplets t = gen_laplacian_2d(16, 16);
-  SymSpmv A(t, 2);
+  SpmvInstance A(t, Format::kSymCsr, 2);
   Rng rng(13);
-  Vector x_true = random_vector(t.nrows(), rng);
+  const Vector x_true = random_vector(t.nrows(), rng);
   const Vector b = test::reference_spmv(t, x_true);
-  // Minimal CG inline via the solver API is tested elsewhere; here just
-  // validate repeated operator application drifts nowhere.
+  Vector x(t.nrows(), 0.0);
+  SolverOptions so;
+  so.rel_tolerance = 1e-12;
+  const SolveResult r =
+      cg([&](const Vector& v, Vector& out) { A.run(v, out); }, b, x, so);
+  EXPECT_TRUE(r.converged);
+  EXPECT_LT(rel_error(x_true, x), 1e-8);
+  // Repeated operator application drifts nowhere.
   Vector y1(t.nrows(), 0.0), y2(t.nrows(), 0.0);
   A.run(b, y1);
   for (int i = 0; i < 10; ++i) {
