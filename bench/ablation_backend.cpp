@@ -2,10 +2,12 @@
 // pinned pool vs OpenMP parallel regions. Same partitions, same kernels;
 // only the dispatch/join mechanism differs, so the delta is pure runtime
 // overhead (relevant for small matrices where a dispatch costs a
-// noticeable fraction of one SpMV).
+// noticeable fraction of one SpMV). Each column is the median of the
+// per-run samples, robust to a preempted run.
 #include <iostream>
 
 #include "spc/bench/harness.hpp"
+#include "spc/support/stats.hpp"
 #include "spc/support/strutil.hpp"
 
 namespace spc {
@@ -20,7 +22,7 @@ void run() {
                                           "columns use the pool)")
             << "\n";
 
-  TextTable table({"matrix", "threads", "pool ms", "openmp ms",
+  TextTable table({"matrix", "threads", "pool us", "openmp us",
                    "pool/openmp"});
   for_each_matrix(cfg, [&](MatrixCase& mc) {
     for (const std::size_t n : {2u, 4u, 8u}) {
@@ -28,19 +30,21 @@ void run() {
       pool.pin_threads = cfg.pin_threads;
       pool.backend = Backend::kPool;
       SpmvInstance inst_pool(mc.mat, Format::kCsr, n, pool);
-      const double t_pool =
-          time_spmv(inst_pool, cfg.iterations, cfg.warmup);
+      const double t_pool = median(
+          time_spmv_metrics(inst_pool, cfg.iterations, cfg.warmup)
+              .sample_seconds);
 
       InstanceOptions omp;
       omp.backend = Backend::kOpenMP;
       omp.pin_threads = false;
       SpmvInstance inst_omp(mc.mat, Format::kCsr, n, omp);
-      const double t_omp =
-          time_spmv(inst_omp, cfg.iterations, cfg.warmup);
+      const double t_omp = median(
+          time_spmv_metrics(inst_omp, cfg.iterations, cfg.warmup)
+              .sample_seconds);
 
       table.add_row({mc.name, std::to_string(n),
-                     fmt_fixed(t_pool * 1e3, 2),
-                     fmt_fixed(t_omp * 1e3, 2),
+                     fmt_fixed(t_pool * 1e6, 1),
+                     fmt_fixed(t_omp * 1e6, 1),
                      fmt_fixed(t_omp > 0 ? t_pool / t_omp : 0.0, 2)});
     }
   });

@@ -108,7 +108,7 @@ struct RunMetrics {
   /// serial runs, 0.0 when unknown (OpenMP backend).
   double imbalance = 1.0;
   std::vector<double> busy_seconds;  ///< per-worker busy time (empty serial)
-  /// Chunks in the dynamic-schedule plan; 0 under the static schedule.
+  /// Chunks in the work-stealing plan; 0 under the static schedule.
   std::size_t sched_chunks = 0;
   /// Chunks executed by non-owners over the timed loop (steal schedule).
   std::uint64_t steals = 0;

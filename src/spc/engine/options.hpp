@@ -49,8 +49,8 @@ struct EngineOptions {
   /// (bit-identical for the row-partitioned formats) instead of queueing
   /// behind the pool.
   bool serial_fallback = true;
-  /// Instance knobs applied to every registered matrix (NUMA, schedule,
-  /// tiling, ...). backend/pin_threads/placement inside are ignored —
+  /// Instance knobs applied to every registered matrix (NUMA, tiling,
+  /// ...). backend/pin_threads/placement inside are ignored —
   /// the engine's shared pool is already built.
   InstanceOptions instance;
 

@@ -30,7 +30,7 @@ struct KernelBinding {
   BoundKernel serial;                    ///< full-matrix kernel
   std::vector<BoundKernel> per_thread;   ///< one per worker (MT instances)
   /// One closure per chunk of the scheduler's ChunkPlan (empty under
-  /// static scheduling). A chunk closure binds its *owner's* arrays —
+  /// the static schedule). A chunk closure binds its *owner's* arrays —
   /// chunk row ranges are disjoint, so any executing worker writes its
   /// own rows of y and results match static bit-for-bit.
   std::vector<BoundKernel> per_chunk;

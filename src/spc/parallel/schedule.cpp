@@ -2,46 +2,12 @@
 
 #include <algorithm>
 
-#include "spc/support/env.hpp"
 #include "spc/support/error.hpp"
-#include "spc/support/strutil.hpp"
 
 namespace spc {
 
 std::string schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::kStatic:
-      return "static";
-    case Schedule::kChunked:
-      return "chunked";
-    case Schedule::kSteal:
-      return "steal";
-  }
-  return "?";
-}
-
-bool parse_schedule(const std::string& name, Schedule* out) {
-  const std::string n = to_lower(name);
-  for (const Schedule s :
-       {Schedule::kStatic, Schedule::kChunked, Schedule::kSteal}) {
-    if (schedule_name(s) == n) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
-Schedule schedule_from_env(Schedule fallback) {
-  const auto env = env_str("SPC_SCHED");
-  if (!env) {
-    return fallback;
-  }
-  Schedule s = fallback;
-  if (!parse_schedule(*env, &s)) {
-    env_warn_once("SPC_SCHED", *env, "static|chunked|steal");
-  }
-  return s;
+  return s == Schedule::kSteal ? "steal" : "static";
 }
 
 usize_t chunk_target_nnz(std::size_t l2_bytes) {
@@ -53,18 +19,6 @@ usize_t chunk_target_nnz(std::size_t l2_bytes) {
   // gathered x entries and the y stores.
   const usize_t target = static_cast<usize_t>(l2_bytes) / 2 / 12;
   return std::clamp<usize_t>(target, 1024, 512 * 1024);
-}
-
-usize_t chunk_nnz_from_env(usize_t fallback) {
-  const auto v = env_u64("SPC_CHUNK_NNZ");
-  if (!v) {
-    return fallback;
-  }
-  if (*v == 0) {
-    env_warn_once("SPC_CHUNK_NNZ", "0", "a positive integer");
-    return fallback;
-  }
-  return static_cast<usize_t>(*v);
 }
 
 ChunkPlan plan_chunks(const aligned_vector<index_t>& row_ptr,

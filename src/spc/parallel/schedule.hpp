@@ -1,22 +1,19 @@
-// Scheduling policies for multithreaded SpMV.
+// Scheduling for multithreaded SpMV.
 //
 // The paper's static nnz-balanced partition (§II-C) equalizes flops, not
 // time: cache and memory-system effects make per-row cost unknowable at
 // partition time (Schubert/Hager/Fehske), so irregular matrices leave
-// workers finishing far apart. The dynamic policies here keep the static
-// partition as the *assignment* — each worker still owns a contiguous
-// row range, preserving first-touch NUMA placement and the bit-exact
-// accumulation order — but subdivide every range into cache-sized,
-// row-aligned chunks:
+// workers finishing far apart. Work stealing keeps the static partition
+// as the *assignment* — each worker still owns a contiguous row range,
+// preserving first-touch NUMA placement and the bit-exact accumulation
+// order — but subdivides every range into cache-sized, row-aligned
+// chunks held in per-worker lock-free deques (chunk_queue.hpp): workers
+// drain their own deque, then steal from victims, same-NUMA-node
+// victims first.
 //
-//  * kStatic  — one kernel call per worker over its whole range; the
-//               zero-overhead default, bit-identical to all prior PRs.
-//  * kChunked — each worker walks its own chunks in order. Same work,
-//               same order, split into smaller kernel calls; isolates
-//               the chunking overhead from the stealing benefit.
-//  * kSteal   — chunks live in per-worker lock-free deques
-//               (chunk_queue.hpp); workers drain their own deque, then
-//               steal from victims, same-NUMA-node victims first.
+// The format decides which one runs (SpmvInstance::setup_schedule):
+// multithreaded pool instances of a stealable format steal, everything
+// else runs one static range per worker. There is no knob.
 //
 // Chunk boundaries are row-aligned, so any executor assignment writes
 // disjoint y ranges and the result is bit-identical to static at the
@@ -34,22 +31,14 @@
 
 namespace spc {
 
+/// The schedule an instance resolved to (reported, never requested).
 enum class Schedule {
-  kStatic,   ///< one range per worker (the paper's model; default)
-  kChunked,  ///< own chunks, executed in order — no stealing
-  kSteal,    ///< own chunks first, then steal from NUMA-near victims
+  kStatic,  ///< one range per worker (the paper's model)
+  kSteal,   ///< own chunks first, then steal from NUMA-near victims
 };
 
-/// Canonical lower-case name ("static", "chunked", "steal").
+/// Canonical lower-case name ("static", "steal").
 std::string schedule_name(Schedule s);
-
-/// Parses a schedule name; returns false (leaving *out untouched) on
-/// unknown names.
-bool parse_schedule(const std::string& name, Schedule* out);
-
-/// `fallback` overridden by a parseable SPC_SCHED environment value; an
-/// unparseable value is diagnosed once to stderr and ignored.
-Schedule schedule_from_env(Schedule fallback);
 
 /// Target non-zeros per chunk for a given L2 data-cache size: half the
 /// L2 in CSR-resident bytes (~12 B/nnz: 8 B value + 4 B column index),
@@ -59,10 +48,6 @@ Schedule schedule_from_env(Schedule fallback);
 /// well under the kernel cost. `l2_bytes == 0` (unknown) yields the
 /// clamp applied to a 256 KiB default.
 usize_t chunk_target_nnz(std::size_t l2_bytes);
-
-/// `fallback` overridden by a positive integer SPC_CHUNK_NNZ environment
-/// value; zero, empty, or unparseable values are ignored.
-usize_t chunk_nnz_from_env(usize_t fallback);
 
 /// The chunk decomposition of a thread partition. Chunks are global:
 /// chunk c covers rows [bounds[c], bounds[c+1]); worker t owns the

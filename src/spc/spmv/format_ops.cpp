@@ -285,7 +285,7 @@ template <typename ColT>
 class CsrOps final : public Holder<BasicCsr<ColT>> {
  public:
   using Holder<BasicCsr<ColT>>::Holder;
-  bool chunkable() const override { return true; }
+  bool stealable() const override { return true; }
   aligned_vector<index_t> costs(const Triplets&) const override {
     return this->m_.row_ptr();
   }
@@ -326,7 +326,7 @@ class CsrOps final : public Holder<BasicCsr<ColT>> {
 class CsrViOps final : public Holder<CsrVi> {
  public:
   using Holder::Holder;
-  bool chunkable() const override { return true; }
+  bool stealable() const override { return true; }
   aligned_vector<index_t> costs(const Triplets&) const override {
     return m_.row_ptr();
   }
@@ -385,7 +385,7 @@ class DuBase : public Holder<M> {
  public:
   DuBase(M m, const CsrDuOptions& opts)
       : Holder<M>(std::move(m)), opts_(opts), hist_(du().unit_histogram()) {}
-  bool chunkable() const override { return true; }
+  bool stealable() const override { return true; }
   std::vector<SpanSet> spans(
       const std::vector<index_t>& bounds) const override {
     return du_spans(du(), bounds);
@@ -505,7 +505,7 @@ class DuViOps final : public DuBase<CsrDuVi> {
 class BcsrOps final : public Holder<Bcsr> {
  public:
   using Holder::Holder;
-  bool chunkable() const override { return true; }
+  bool stealable() const override { return true; }
   index_t units() const override { return m_.nblock_rows(); }
   aligned_vector<index_t> costs(const Triplets&) const override {
     return m_.block_row_ptr();
@@ -537,7 +537,7 @@ class BcsrOps final : public Holder<Bcsr> {
 class EllOps final : public Holder<Ell> {
  public:
   using Holder::Holder;
-  bool chunkable() const override { return true; }
+  bool stealable() const override { return true; }
   std::vector<RepackArray> repack_arrays() const override {
     const auto w = static_cast<usize_t>(m_.width());
     return {{m_.col_ind().data(), sizeof(index_t), Kind::kUnits, w},
@@ -562,8 +562,6 @@ template <typename M>
 class SymOps : public Holder<M> {
  public:
   using Holder<M>::Holder;
-  bool chunkable() const override { return true; }
-  bool stealable() const override { return false; }
   Reduce reduce() const override { return Reduce::kSym; }
   aligned_vector<index_t> costs(const Triplets&) const override {
     return this->m_.row_ptr();

@@ -4,7 +4,7 @@
 // encoder plus a FormatOps object that owns the encoded matrix and
 // answers everything the instance's generic runtime asks of a format —
 //   * the per-unit cost profile its partition and chunk plan balance,
-//   * its capabilities: chunked/stolen scheduling, the reduction its
+//   * its capabilities: work stealing, the reduction its
 //     multithreaded runs need, tiling, NUMA repacking,
 //   * the arrays a generic NUMA repack copies per worker, and the span
 //     of each that a unit range reads,
@@ -104,11 +104,10 @@ class FormatOps {
   FormatOps& operator=(const FormatOps&) = delete;
   virtual ~FormatOps() = default;
 
-  /// Per-thread work is a unit range of one kernel, so the dynamic
-  /// schedules may split it into chunks.
-  virtual bool chunkable() const { return false; }
-  /// Chunks may run on a worker other than their owner.
-  virtual bool stealable() const { return chunkable(); }
+  /// Per-thread work is a unit range of one kernel writing only its own
+  /// rows of y, so multithreaded runs split it into chunks that any
+  /// worker may steal.
+  virtual bool stealable() const { return false; }
   virtual Reduce reduce() const { return Reduce::kNone; }
 
   virtual usize_t bytes() const = 0;

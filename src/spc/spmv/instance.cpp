@@ -1,9 +1,7 @@
 #include "spc/spmv/instance.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -47,21 +45,6 @@ void SpmvInstance::xcopy_job(void* ctx, std::size_t tid) {
 void SpmvInstance::static_job(void* ctx, std::size_t tid) {
   auto* self = static_cast<SpmvInstance*>(ctx);
   self->binding_.per_thread[tid](self->worker_x(tid), self->run_args_.y);
-}
-
-void SpmvInstance::run_owned_chunks(std::size_t tid, const value_t* x,
-                                    value_t* y) {
-  const std::uint32_t b = chunk_plan_.owner_begin[tid];
-  const std::uint32_t e = chunk_plan_.owner_begin[tid + 1];
-  for (std::uint32_t c = b; c < e; ++c) {
-    binding_.per_chunk[c](x, y);
-  }
-  sched_slots_[tid].executed += e - b;
-}
-
-void SpmvInstance::chunked_job(void* ctx, std::size_t tid) {
-  auto* self = static_cast<SpmvInstance*>(ctx);
-  self->run_owned_chunks(tid, self->worker_x(tid), self->run_args_.y);
 }
 
 void SpmvInstance::steal_job(void* ctx, std::size_t tid) {
@@ -132,14 +115,7 @@ void SpmvInstance::compute_job(void* ctx, std::size_t tid) {
                         self->sym_plan_.win_begin[tid];
     std::fill(win, win + len, 0.0);
   }
-  const value_t* const x = self->worker_x(tid);
-  if (!self->binding_.per_chunk.empty()) {
-    // kChunked only: every chunk stays on its owner (ascending row
-    // order), so the window writes match the static schedule exactly.
-    self->run_owned_chunks(tid, x, y);
-  } else {
-    self->binding_.per_thread[tid](x, y);
-  }
+  self->binding_.per_thread[tid](self->worker_x(tid), y);
 }
 
 void SpmvInstance::reduce_job(void* ctx, std::size_t tid) {
@@ -233,7 +209,7 @@ SpmvInstance::SpmvInstance(const Triplets& t, Format format,
   SPC_CHECK_MSG(shared_pool_ != nullptr,
                 "shared-pool SpmvInstance requires a pool");
   // The pool already exists, so the knobs that shape pool construction
-  // don't apply; everything else (schedule, tiling, NUMA, ...) does.
+  // don't apply; everything else (tiling, NUMA, ...) does.
   opts_.backend = Backend::kPool;
   init(t);
 }
@@ -351,86 +327,53 @@ void SpmvInstance::init(const Triplets& t) {
 
 void SpmvInstance::setup_schedule(const aligned_vector<index_t>& costs,
                                   const Topology& topo) {
-  Schedule requested = schedule_from_env(opts_.schedule);
-  if (requested == Schedule::kStatic) {
+  // Only formats whose per-thread work is a contiguous unit range of one
+  // kernel, with disjoint rows of y per chunk, can move chunks between
+  // workers; the rest run static. Nothing is requested, so nothing is
+  // noted in decisions(): schedule() reports what runs.
+  if (!ops_->stealable()) {
     return;
   }
-  // Only formats whose per-thread work is a contiguous unit range of a
-  // single kernel can run as chunks. The rest silently keep the static
-  // schedule; schedule() reports what actually runs.
-  if (!ops_->chunkable()) {
-    note_decision("schedule", schedule_name(requested), "static",
-                  format_name(format_) +
-                      " has no chunked execution path (work is not a "
-                      "contiguous row range of one kernel)");
-    return;
-  }
-  if (requested == Schedule::kSteal && !ops_->stealable()) {
-    // A stolen symmetric chunk would scatter into the owner's conflict
-    // window concurrently with the owner — a data race the window scheme
-    // cannot absorb. Chunked keeps every chunk on its owner (run in
-    // ascending order), so it stays bit-identical and safe.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "spc: schedule=steal is unsafe for the symmetric "
-                   "formats (concurrent window scatters); running "
-                   "schedule=chunked instead\n");
-    }
-    note_decision("schedule", "steal", "chunked",
-                  "stolen symmetric chunks would scatter into the "
-                  "owner's conflict window concurrently");
-    requested = Schedule::kChunked;
-  }
-  obs::TraceSpan sched_span("schedule:" + schedule_name(requested));
-
-  usize_t target = chunk_nnz_from_env(opts_.chunk_nnz);
-  if (target == 0) {
-    target = chunk_target_nnz(topo.l2_bytes);
-    // One chunk per deque degenerates stealing into relocating whole
-    // thread ranges; when the matrix is small relative to the L2 target
-    // but still has real work, shrink toward >= 4 chunks per worker
-    // (never below the planner's 1024-nnz floor).
-    const usize_t adaptive = nnz_ / (nthreads_ * 4);
-    if (adaptive >= 1024 && adaptive < target) {
-      target = adaptive;
-    }
+  obs::TraceSpan sched_span("schedule:steal");
+  usize_t target = chunk_target_nnz(topo.l2_bytes);
+  // One chunk per deque degenerates stealing into relocating whole
+  // thread ranges; when the matrix is small relative to the L2 target
+  // but still has real work, shrink toward >= 4 chunks per worker
+  // (never below the planner's 1024-nnz floor).
+  const usize_t adaptive = nnz_ / (nthreads_ * 4);
+  if (adaptive >= 1024 && adaptive < target) {
+    target = adaptive;
   }
   // The planner budgets the same cost profile the partition balanced.
   chunk_plan_ = plan_chunks(costs, partition_, target);
   if (chunk_plan_.nchunks() == 0) {
     chunk_plan_ = ChunkPlan{};
-    note_decision("schedule", schedule_name(requested), "static",
-                  "chunk plan degenerated (too little work per worker "
-                  "for the chunk target)");
     return;
   }
-  sched_ = requested;
+  sched_ = Schedule::kSteal;
 
   sched_slots_.assign(nthreads_, SchedSlot{});
-  if (sched_ == Schedule::kSteal) {
-    std::vector<std::uint32_t> ids(chunk_plan_.nchunks());
-    for (std::size_t c = 0; c < ids.size(); ++c) {
-      ids[c] = static_cast<std::uint32_t>(c);
-    }
-    deques_ = std::vector<ChunkDeque>(nthreads_);
-    for (std::size_t th = 0; th < nthreads_; ++th) {
-      deques_[th].init(
-          ids.data() + chunk_plan_.owner_begin[th],
-          chunk_plan_.owner_begin[th + 1] - chunk_plan_.owner_begin[th]);
-    }
-    // NUMA-near victim order from the pin plan; unknown topology (or a
-    // single node) degrades to plain rotation inside the helper.
-    std::vector<int> tnodes;
-    const std::vector<int>& cpus = xpool_->worker_cpus();
-    if (topo.num_nodes() > 1 && !cpus.empty() && cpus[0] >= 0) {
-      tnodes.resize(nthreads_);
-      for (std::size_t th = 0; th < nthreads_; ++th) {
-        tnodes[th] = std::max(0, topo.node_of_cpu(cpus[th]));
-      }
-    }
-    steal_victims_ = steal_victim_order(nthreads_, tnodes);
+  std::vector<std::uint32_t> ids(chunk_plan_.nchunks());
+  for (std::size_t c = 0; c < ids.size(); ++c) {
+    ids[c] = static_cast<std::uint32_t>(c);
   }
+  deques_ = std::vector<ChunkDeque>(nthreads_);
+  for (std::size_t th = 0; th < nthreads_; ++th) {
+    deques_[th].init(
+        ids.data() + chunk_plan_.owner_begin[th],
+        chunk_plan_.owner_begin[th + 1] - chunk_plan_.owner_begin[th]);
+  }
+  // NUMA-near victim order from the pin plan; unknown topology (or a
+  // single node) degrades to plain rotation inside the helper.
+  std::vector<int> tnodes;
+  const std::vector<int>& cpus = xpool_->worker_cpus();
+  if (topo.num_nodes() > 1 && !cpus.empty() && cpus[0] >= 0) {
+    tnodes.resize(nthreads_);
+    for (std::size_t th = 0; th < nthreads_; ++th) {
+      tnodes[th] = std::max(0, topo.node_of_cpu(cpus[th]));
+    }
+  }
+  steal_victims_ = steal_victim_order(nthreads_, tnodes);
 
   auto& reg = obs::Registry::global();
   sched_steals_counter_ = &reg.counter("spc.sched.steals");
@@ -481,14 +424,14 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
   }
   obs::TraceSpan tiling_span("tiling");
 
-  // Execution blocks: the chunk plan's chunks under the dynamic
-  // schedules (stealing then moves whole blocks, so a block's stripes
-  // always execute in column order on one worker), the partition's
-  // per-thread ranges under static, the whole matrix when serial.
+  // Execution blocks: the chunk plan's chunks when stealing (a steal
+  // then moves whole blocks, so a block's stripes always execute in
+  // column order on one worker), the partition's per-thread ranges under
+  // static, the whole matrix when serial.
   const std::vector<index_t> bounds =
-      sched_ != Schedule::kStatic ? chunk_plan_.bounds
-      : nthreads_ > 1             ? partition_.bounds
-                                  : std::vector<index_t>{0, nrows_};
+      sched_ == Schedule::kSteal ? chunk_plan_.bounds
+      : nthreads_ > 1            ? partition_.bounds
+                                 : std::vector<index_t>{0, nrows_};
   tile_store_ = build_tiled_store(t, bounds, tile_plan_, spec);
   tiled_ = true;
 
@@ -503,9 +446,9 @@ void SpmvInstance::setup_tiling(const Triplets& t) {
 std::pair<std::size_t, std::size_t> SpmvInstance::worker_blocks(
     std::size_t w) const {
   if (tiled_) {
-    // Blocks are ordered by owner: the chunk plan's owner ranges under
-    // the dynamic schedules, one block per worker under static.
-    if (sched_ != Schedule::kStatic) {
+    // Blocks are ordered by owner: the chunk plan's owner ranges when
+    // stealing, one block per worker under static.
+    if (sched_ == Schedule::kSteal) {
       return {chunk_plan_.owner_begin[w], chunk_plan_.owner_begin[w + 1]};
     }
     return {w, w + 1};
@@ -810,12 +753,12 @@ void SpmvInstance::prepare() {
   }
   binding_.per_thread = bind(ranges);
 
-  // Chunk closures for the dynamic schedules: one per ChunkPlan entry,
-  // bound over the *owner's* arrays (the NUMA-repacked copies when they
-  // exist) so a stolen chunk reads exactly the bytes its owner would.
-  // Chunk ranges are disjoint, so whichever worker executes a chunk
-  // writes only that chunk's rows of y.
-  if (sched_ != Schedule::kStatic) {
+  // Chunk closures for stealing: one per ChunkPlan entry, bound over the
+  // *owner's* arrays (the NUMA-repacked copies when they exist) so a
+  // stolen chunk reads exactly the bytes its owner would. Chunk ranges
+  // are disjoint, so whichever worker executes a chunk writes only that
+  // chunk's rows of y.
+  if (sched_ == Schedule::kSteal) {
     ranges.clear();
     for (std::size_t c = 0; c < chunk_plan_.nchunks(); ++c) {
       const std::size_t owner = chunk_plan_.owner[c];
@@ -975,22 +918,16 @@ void SpmvInstance::run_parallel(const Vector& x, Vector& y) {
   }
 
   // The OpenMP backend always runs static (setup_schedule is pool-only).
-  switch (sched_) {
-    case Schedule::kStatic:
-      dispatch(&SpmvInstance::static_job);
-      break;
-    case Schedule::kChunked:
-      dispatch(&SpmvInstance::chunked_job);
-      break;
-    case Schedule::kSteal:
-      // Refill every deque with its owner's chunks; the pool's dispatch
-      // handshake publishes these stores to the workers.
-      for (ChunkDeque& d : deques_) {
-        d.reset();
-      }
-      dispatch(&SpmvInstance::steal_job);
-      break;
+  if (sched_ == Schedule::kStatic) {
+    dispatch(&SpmvInstance::static_job);
+    return;
   }
+  // Refill every deque with its owner's chunks; the pool's dispatch
+  // handshake publishes these stores to the workers.
+  for (ChunkDeque& d : deques_) {
+    d.reset();
+  }
+  dispatch(&SpmvInstance::steal_job);
 }
 
 Vector spmv_simple(const Triplets& t, const Vector& x) {

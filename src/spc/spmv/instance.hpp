@@ -103,17 +103,6 @@ struct InstanceOptions {
   /// per-thread slices on multi-node machines and stays off on flat
   /// ones. See support/first_touch.hpp.
   NumaPolicy numa = NumaPolicy::kAuto;
-  /// Work scheduling (overridable via SPC_SCHED): kStatic is the
-  /// paper's one-range-per-worker model (zero-overhead default);
-  /// kChunked/kSteal run the row-partitioned formats as cache-sized
-  /// chunks, with kSteal letting idle workers steal from NUMA-near
-  /// victims. Non-static requests silently fall back to static for
-  /// unsupported formats, the OpenMP backend, and serial instances.
-  Schedule schedule = Schedule::kStatic;
-  /// Target non-zeros per chunk for the dynamic schedules; 0 derives it
-  /// from the discovered L2 size (parallel/schedule.hpp). SPC_CHUNK_NNZ
-  /// overrides either.
-  usize_t chunk_nnz = 0;
   /// Column tiling (overridable via SPC_TILE): kAuto stripes the CSR /
   /// CSR-VI / CSR-DU(-VI) stores into ~L1d-wide column tiles when the
   /// matrix's x working set and row spans make it profitable, and stays
@@ -135,12 +124,11 @@ struct InstanceOptions {
 };
 
 /// One configuration aspect the instance resolved differently from what
-/// was requested (including env-var overrides), with the reason — e.g. a
-/// steal schedule demoted to chunked for a symmetric format, an auto
-/// tile plan that declined, NUMA placement off because workers are
-/// unpinned. Silent-at-run-time fallbacks stay queryable this way.
+/// was requested (including env-var overrides), with the reason — e.g.
+/// an auto tile plan that declined, NUMA placement off because workers
+/// are unpinned. Silent-at-run-time fallbacks stay queryable this way.
 struct InstanceDecision {
-  std::string aspect;     ///< "backend" | "schedule" | "tiling" | "numa" | "isa"
+  std::string aspect;     ///< "backend" | "tiling" | "numa" | "isa"
   std::string requested;  ///< what the options/env asked for
   std::string resolved;   ///< what actually runs
   std::string reason;
@@ -202,7 +190,7 @@ class SpmvInstance {
   bool run_on_caller(const Vector& x, Vector& y);
 
   /// Every configuration aspect resolved away from its requested value
-  /// (backend/schedule/tiling/numa/isa fallbacks), in resolution order.
+  /// (backend/tiling/numa/isa fallbacks), in resolution order.
   /// Empty when everything runs exactly as asked.
   const std::vector<InstanceDecision>& decisions() const {
     return decisions_;
@@ -258,10 +246,11 @@ class SpmvInstance {
   };
   NumaResidency matrix_residency() const;
 
-  /// The schedule actually in effect: the resolved value of
-  /// opts.schedule / SPC_SCHED, or kStatic when the format, backend, or
-  /// thread count rules dynamic scheduling out. Recorded into the JSONL
-  /// metrics as "schedule".
+  /// The schedule the format picked: kSteal for multithreaded pool
+  /// instances of a stealable format whose chunk plan is non-empty,
+  /// kStatic otherwise (serial, OpenMP backend, the formats whose work
+  /// is not a row range of one kernel, the symmetric formats). Recorded
+  /// into the JSONL metrics as "schedule".
   Schedule schedule() const { return sched_; }
 
   /// Number of chunks in the active chunk plan (0 under static).
@@ -354,7 +343,8 @@ class SpmvInstance {
 
  private:
   /// Shared constructor body: validates options, encodes, partitions,
-  /// builds or borrows the pool, resolves schedule/tiling/NUMA, binds.
+  /// builds or borrows the pool, plans the schedule, resolves
+  /// tiling/NUMA, binds.
   /// Expects format_/nthreads_/opts_ (and shared_pool_, when borrowing)
   /// already set.
   void init(const Triplets& t);
@@ -371,11 +361,11 @@ class SpmvInstance {
   /// Runs fn(this, tid) on every worker via the configured backend
   /// (the pool, or an OpenMP parallel region).
   void dispatch(ThreadPool::RawJob fn);
-  /// Resolves opts.schedule / SPC_SCHED and, when a dynamic schedule is
-  /// active, builds the chunk plan over the partition's cost profile
-  /// `costs`, the per-worker deques, and the NUMA-near victim order.
-  /// Called by the constructor after the pool exists and before
-  /// setup_tiling (whose blocks follow the chunks).
+  /// For a stealable format, builds the chunk plan over the partition's
+  /// cost profile `costs`, the per-worker deques, and the NUMA-near
+  /// victim order; leaves every other format static. Called by the
+  /// constructor after the pool exists and before setup_tiling (whose
+  /// blocks follow the chunks).
   void setup_schedule(const aligned_vector<index_t>& costs,
                       const Topology& topo);
   /// Resolves the NUMA policy and, when active, repacks every worker's
@@ -385,8 +375,7 @@ class SpmvInstance {
   void setup_numa(const Topology& topo);
   /// Resolves opts.tiling / SPC_TILE and, when the plan engages, builds
   /// the stripe-major tiled store over the execution blocks (the chunk
-  /// plan's chunks under dynamic schedules, the partition's ranges under
-  /// static). Called after setup_schedule and before setup_numa, which
+  /// plan's chunks when stealing, the partition's ranges under static). Called after setup_schedule and before setup_numa, which
   /// repacks the tiled arrays instead of the matrix's when tiled_.
   void setup_tiling(const Triplets& t);
   /// Unit range [begin, end) of the execution blocks worker `w` owns
@@ -443,13 +432,13 @@ class SpmvInstance {
   obs::LatencyHisto* run_histo_ = nullptr;
   // Column tiling (set up once by setup_tiling, off the timed path): the
   // resolved plan and the stripe-major store that replaces the matrix's
-  // execution arrays. Its blocks follow the chunk plan under the dynamic
-  // schedules and the partition under static.
+  // execution arrays. Its blocks follow the chunk plan when stealing and
+  // the partition under static.
   TilePlan tile_plan_;
   TiledStore tile_store_;
   bool tiled_ = false;
-  // Dynamic scheduling (set up once by setup_schedule, off the timed
-  // path): the resolved schedule, the unit-aligned chunk plan, one deque
+  // Work stealing (set up once by setup_schedule, off the timed path):
+  // the resolved schedule, the unit-aligned chunk plan, one deque
   // of owned chunks per worker, and each worker's NUMA-near-first victim
   // order.
   Schedule sched_ = Schedule::kStatic;
@@ -487,18 +476,14 @@ class SpmvInstance {
   /// raw-callable path keeps the per-run cost at one function-pointer
   /// call per worker — no std::function allocation on the timed path.
   static void static_job(void* ctx, std::size_t tid);
-  static void chunked_job(void* ctx, std::size_t tid);
   static void steal_job(void* ctx, std::size_t tid);
   static void xcopy_job(void* ctx, std::size_t tid);
   /// Two-phase executors (private-y and symmetric reductions): the
   /// compute job zeroes the worker's private y (or window) and runs its
-  /// units — statically, or as its owned chunks under kChunked; the
-  /// reduce job sums the private copies (or folds the overlapping
-  /// windows) into y.
+  /// units; the reduce job sums the private copies (or folds the
+  /// overlapping windows) into y.
   static void compute_job(void* ctx, std::size_t tid);
   static void reduce_job(void* ctx, std::size_t tid);
-  /// Runs the worker's owned chunks in order (kChunked).
-  void run_owned_chunks(std::size_t tid, const value_t* x, value_t* y);
   /// The x pointer worker `th` should read (its NUMA replica when the
   /// replicate policy is active, the caller's x otherwise).
   const value_t* worker_x(std::size_t th) const {

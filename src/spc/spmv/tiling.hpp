@@ -28,7 +28,7 @@
 //    x + stripe base and y + block base.
 //
 // Stripes within a block execute on one worker in column order, so the
-// partial-y accumulation needs no atomics; dynamic schedules move whole
+// partial-y accumulation needs no atomics; work stealing moves whole
 // blocks (chunks), never single stripes.
 #pragma once
 
@@ -120,7 +120,7 @@ struct StripeTile {
 };
 
 /// One execution block: a row range (a thread's partition range, or one
-/// chunk under the dynamic schedules) and its tiles/segments/elements.
+/// chunk when stealing) and its tiles/segments/elements.
 /// Blocks tile the row space in order, so a worker's blocks cover
 /// contiguous segment/ctl/element ranges — the NUMA repack copies each
 /// worker's spans into its first-touched arena block.

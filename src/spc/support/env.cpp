@@ -101,13 +101,6 @@ const std::vector<EnvVarInfo>& env_registry() {
        "InstanceOptions::numa",
        "NUMA data-placement policy for per-thread matrix slices and x "
        "mirrors."},
-      {"SPC_SCHED", "enum", "static|chunked|steal",
-       "InstanceOptions::schedule",
-       "Work schedule: one-range-per-worker, owned cache-sized chunks, "
-       "or work stealing."},
-      {"SPC_CHUNK_NNZ", "u64", "non-zeros per chunk (0 = L2-derived)",
-       "InstanceOptions::chunk_nnz",
-       "Target chunk weight for the dynamic schedules."},
       {"SPC_TILE", "size", "auto|off|<bytes>[k|m]",
        "InstanceOptions::tiling",
        "Column tiling: auto-plan, hard off, or a forced stripe width."},

@@ -19,8 +19,10 @@ std::string json_str(const obs::Json& j, const char* key) {
   return v != nullptr && v->is_string() ? v->as_string() : std::string();
 }
 
+// Version 2 probes run each candidate under its format's own schedule;
+// v1 verdicts were probed under a static default and are not reused.
 bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
-  if (!j.is_object() || json_str(j, "tune") != "v1") {
+  if (!j.is_object() || json_str(j, "tune") != "v2") {
     return false;
   }
   TuneCacheEntry e;
@@ -31,7 +33,6 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
       threads != nullptr ? static_cast<std::size_t>(threads->as_u64(1)) : 1;
   e.key.isa = json_str(j, "isa");
   e.key.numa = json_str(j, "numa");
-  e.key.schedule = json_str(j, "schedule");
   e.key.tiling = json_str(j, "tiling");
   e.format = json_str(j, "format");
   if (const obs::Json* v = j.find("probe_ns")) {
@@ -51,13 +52,12 @@ bool parse_entry(const obs::Json& j, TuneCacheEntry* out) {
 
 obs::Json entry_json(const TuneCacheEntry& e) {
   obs::Json j = obs::Json::object();
-  j.set("tune", "v1");
+  j.set("tune", "v2");
   j.set("matrix_fp", e.key.matrix_fp);
   j.set("machine_id", e.key.machine_id);
   j.set("threads", static_cast<std::uint64_t>(e.key.threads));
   j.set("isa", e.key.isa);
   j.set("numa", e.key.numa);
-  j.set("schedule", e.key.schedule);
   j.set("tiling", e.key.tiling);
   j.set("format", e.format);
   j.set("probe_ns", e.probe_ns);
@@ -71,7 +71,7 @@ obs::Json entry_json(const TuneCacheEntry& e) {
 std::string TuneCacheKey::key() const {
   std::ostringstream os;
   os << matrix_fp << '|' << machine_id << '|' << threads << '|' << isa
-     << '|' << numa << '|' << schedule << '|' << tiling;
+     << '|' << numa << '|' << tiling;
   return os.str();
 }
 

@@ -36,7 +36,6 @@ TuneCacheKey make_key(const std::string& fingerprint, std::size_t nthreads,
   key.threads = nthreads;
   key.isa = isa_tier_name(active_isa_tier());
   key.numa = numa_policy_name(numa_policy_from_env(opts.numa));
-  key.schedule = schedule_name(schedule_from_env(opts.schedule));
   key.tiling = tile_config_name(tile_config_from_env(opts.tiling));
   return key;
 }

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <set>
+
 #include "spc/formats/csr.hpp"
+#include "spc/formats/csr_du_vi.hpp"
 #include "spc/gen/generators.hpp"
+#include "spc/spmv/instance.hpp"
 #include "test_util.hpp"
 
 namespace spc {
@@ -106,6 +113,87 @@ TEST(CsrVi, BitPatternIdentityDistinguishesSignedZero) {
   t.sort_and_combine();
   const CsrVi m = CsrVi::from_triplets(t);
   EXPECT_EQ(m.unique_count(), 2u);  // +0.0 and -0.0 differ bitwise
+}
+
+std::uint64_t bits_of(value_t v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+value_t quiet_nan_with_payload(std::uint64_t payload) {
+  const std::uint64_t b = 0x7ff8000000000000ULL | payload;
+  value_t v = 0.0;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+// +0.0, -0.0, +-Inf and two quiet NaNs with different payloads, some
+// repeated. Each row holds at most one non-finite value, so with a
+// finite, non-zero x no row ever combines two NaNs (whose payload order
+// the hardware would pick) or Inf with -Inf.
+Triplets special_values_matrix() {
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const value_t nan1 = quiet_nan_with_payload(0x1);
+  const value_t nan2 = quiet_nan_with_payload(0xbeef);
+  Triplets t(7, 4);
+  t.add(0, 0, nan1);
+  t.add(0, 1, 1.0);
+  t.add(1, 2, nan2);
+  t.add(1, 3, 2.0);
+  t.add(2, 0, inf);
+  t.add(2, 3, 3.0);
+  t.add(3, 1, -inf);
+  t.add(4, 0, 0.0);
+  t.add(4, 1, -0.0);
+  t.add(4, 2, 1.5);
+  t.add(5, 3, nan1);
+  t.add(6, 2, inf);
+  t.add(6, 3, -0.0);
+  t.sort_and_combine();
+  return t;
+}
+
+template <typename M>
+void expect_one_entry_per_bit_pattern(const Triplets& t, const M& m,
+                                      const char* what) {
+  std::set<std::uint64_t> patterns;
+  for (const Entry& e : t.entries()) {
+    patterns.insert(bits_of(e.val));
+  }
+  std::set<std::uint64_t> table;
+  for (const value_t v : m.vals_unique()) {
+    table.insert(bits_of(v));
+  }
+  EXPECT_EQ(m.unique_count(), patterns.size()) << what;
+  EXPECT_EQ(table, patterns) << what;
+}
+
+TEST(CsrVi, SpecialValuesGetOneTableEntryPerBitPattern) {
+  const Triplets t = special_values_matrix();
+  expect_one_entry_per_bit_pattern(t, CsrVi::from_triplets(t), "csr-vi");
+  expect_one_entry_per_bit_pattern(t, CsrDuVi::from_triplets(t),
+                                   "csr-du-vi");
+}
+
+TEST(CsrVi, SpecialValuesMatchCsrBitForBitAtScalar) {
+  // Non-finite x stays out: the symmetric kernels' implicit 0.0
+  // diagonal turns an infinite x[r] into NaN where CSR skips the absent
+  // entry, so only finite x has one defined answer across formats.
+  const Triplets t = special_values_matrix();
+  const Vector x = {0.75, -1.25, 2.5, -0.5};
+  test::ScopedEnv isa("SPC_ISA", "scalar");
+  Vector y_csr(t.nrows(), 0.0);
+  SpmvInstance(t, Format::kCsr).run(x, y_csr);
+  for (const Format f : {Format::kCsrVi, Format::kCsrDuVi}) {
+    Vector y(t.nrows(), 0.0);
+    SpmvInstance(t, f).run(x, y);
+    for (index_t r = 0; r < t.nrows(); ++r) {
+      EXPECT_EQ(bits_of(y[r]), bits_of(y_csr[r]))
+          << format_name(f) << " row " << r << ": " << y[r] << " vs "
+          << y_csr[r];
+    }
+  }
 }
 
 TEST(CsrVi, EmptyMatrix) {

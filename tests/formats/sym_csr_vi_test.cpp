@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "spc/formats/csr_vi.hpp"
@@ -40,6 +43,94 @@ TEST(SymCsrVi, ApplicabilityMatchesSymCsr) {
   EXPECT_FALSE(SymCsrVi::applicable(test::paper_matrix()));
   EXPECT_THROW(SymCsrVi::from_triplets(test::paper_matrix()),
                InvalidArgument);
+}
+
+value_t quiet_nan_with_payload(std::uint64_t payload) {
+  const std::uint64_t b = 0x7ff8000000000000ULL | payload;
+  value_t v = 0.0;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+std::uint64_t bits_of(value_t v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+Triplets mirrored_pair(value_t lower, value_t upper) {
+  Triplets t(2, 2);
+  t.add(0, 0, 1.0);
+  t.add(1, 1, 1.0);
+  t.add(1, 0, lower);
+  t.add(0, 1, upper);
+  t.sort_and_combine();
+  return t;
+}
+
+TEST(SymCsrVi, ApplicabilityVerdictsOnSpecialValues) {
+  // Mirrors compare by value: NaN never equals itself, so a NaN mirror
+  // is refused even with identical bits, while +0.0 == -0.0 accepts a
+  // sign-flipped zero mirror.
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const value_t nan = quiet_nan_with_payload(0x1);
+  EXPECT_FALSE(SymCsr::applicable(mirrored_pair(nan, nan)));
+  EXPECT_FALSE(SymCsr::applicable(
+      mirrored_pair(nan, quiet_nan_with_payload(0x2))));
+  EXPECT_TRUE(SymCsr::applicable(mirrored_pair(0.0, -0.0)));
+  EXPECT_TRUE(SymCsr::applicable(mirrored_pair(-0.0, -0.0)));
+  EXPECT_TRUE(SymCsr::applicable(mirrored_pair(inf, inf)));
+  EXPECT_FALSE(SymCsr::applicable(mirrored_pair(inf, -inf)));
+  EXPECT_EQ(SymCsrVi::applicable(mirrored_pair(nan, nan)), false);
+  EXPECT_EQ(SymCsrVi::applicable(mirrored_pair(0.0, -0.0)), true);
+}
+
+TEST(SymCsrVi, SpecialValuesGetOneTableEntryPerBitPatternAndMatchSymCsr) {
+  // NaNs only on the diagonal (a NaN mirror is refused); signed zeros
+  // and infinities mirrored. One non-finite value per row and column,
+  // so a finite x never combines two NaNs or Inf with -Inf.
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const value_t nan1 = quiet_nan_with_payload(0x1);
+  const value_t nan2 = quiet_nan_with_payload(0xbeef);
+  Triplets t(6, 6);
+  t.add(0, 0, nan1);
+  t.add(1, 1, 2.0);
+  t.add(2, 2, nan2);
+  t.add(3, 3, 2.0);
+  t.add(5, 5, nan1);
+  const auto mirror = [&t](index_t r, index_t c, value_t v) {
+    t.add(r, c, v);
+    t.add(c, r, v);
+  };
+  mirror(1, 0, 0.5);
+  mirror(3, 1, inf);
+  mirror(4, 3, 0.0);
+  mirror(4, 2, -0.0);
+  mirror(5, 4, -inf);
+  t.sort_and_combine();
+  ASSERT_TRUE(SymCsrVi::applicable(t));
+
+  const SymCsrVi m = SymCsrVi::from_triplets(t);
+  std::set<std::uint64_t> patterns = {bits_of(0.0)};  // implicit diag
+  for (const Entry& e : t.entries()) {
+    patterns.insert(bits_of(e.val));
+  }
+  std::set<std::uint64_t> table;
+  for (const value_t v : m.vals_unique()) {
+    table.insert(bits_of(v));
+  }
+  EXPECT_EQ(table, patterns);
+
+  const Vector x = {0.75, -1.25, 2.5, -0.5, 1.5, -2.0};
+  const SymCsr a = SymCsr::from_triplets(t);
+  Vector ya(6, 0.0);
+  Vector yb(6, 1.0);
+  spmv(a, x.data(), ya.data());
+  spmv(m, x.data(), yb.data());
+  for (index_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(bits_of(yb[r]), bits_of(ya[r]))
+        << "row " << r << ": " << yb[r] << " vs " << ya[r];
+  }
 }
 
 TEST(SymCsrVi, RoundTripAndCounts) {

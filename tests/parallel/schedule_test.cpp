@@ -16,43 +16,9 @@ aligned_vector<index_t> row_ptr_of(const Triplets& t) {
   return Csr::from_triplets(t).row_ptr();
 }
 
-TEST(Schedule, NamesRoundTrip) {
-  for (const Schedule s :
-       {Schedule::kStatic, Schedule::kChunked, Schedule::kSteal}) {
-    Schedule parsed = Schedule::kStatic;
-    EXPECT_TRUE(parse_schedule(schedule_name(s), &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  Schedule out = Schedule::kSteal;
-  EXPECT_FALSE(parse_schedule("bogus", &out));
-  EXPECT_EQ(out, Schedule::kSteal);  // untouched on failure
-  EXPECT_TRUE(parse_schedule("STEAL", &out));  // case-insensitive
-}
-
-TEST(Schedule, EnvOverridesFallback) {
-  {
-    test::ScopedEnv env("SPC_SCHED", "chunked");
-    EXPECT_EQ(schedule_from_env(Schedule::kStatic), Schedule::kChunked);
-  }
-  {
-    test::ScopedEnv env("SPC_SCHED", "");
-    EXPECT_EQ(schedule_from_env(Schedule::kSteal), Schedule::kSteal);
-  }
-  {
-    test::ScopedEnv env("SPC_SCHED", "not-a-schedule");
-    EXPECT_EQ(schedule_from_env(Schedule::kChunked), Schedule::kChunked);
-  }
-}
-
-TEST(Schedule, ChunkNnzEnvOverridesFallback) {
-  {
-    test::ScopedEnv env("SPC_CHUNK_NNZ", "4096");
-    EXPECT_EQ(chunk_nnz_from_env(100), 4096u);
-  }
-  for (const char* bad : {"", "0", "nope", "12x"}) {
-    test::ScopedEnv env("SPC_CHUNK_NNZ", bad);
-    EXPECT_EQ(chunk_nnz_from_env(100), 100u) << "'" << bad << "'";
-  }
+TEST(Schedule, Names) {
+  EXPECT_EQ(schedule_name(Schedule::kStatic), "static");
+  EXPECT_EQ(schedule_name(Schedule::kSteal), "steal");
 }
 
 TEST(Schedule, ChunkTargetScalesWithL2AndClamps) {
@@ -111,6 +77,26 @@ TEST(PlanChunks, ChunkNnzStaysNearTarget) {
     const usize_t nnz = rp[plan.row_end(c)] - rp[plan.row_begin(c)];
     EXPECT_LE(nnz, target + 10);
     EXPECT_GT(nnz, 0u);
+  }
+}
+
+TEST(PlanChunks, TargetBelowRowLengthNeverSplitsARow) {
+  // A target smaller than any row asks for one chunk per row, the most
+  // chunks (and deque traffic) a plan can have. Chunks stay row-aligned
+  // and non-empty; the sub-partitioner may still pair short rows.
+  Rng rng(10);
+  const Triplets t = test::random_triplets(200, 200, 6000, rng);
+  const auto rp = row_ptr_of(t);
+  const RowPartition threads = partition_rows_by_nnz(rp, 4);
+  const ChunkPlan plan = plan_chunks(rp, threads, 1);
+  EXPECT_GT(plan.nchunks(), 100u);
+  EXPECT_EQ(plan.bounds.back(), 200u);
+  for (std::size_t c = 0; c < plan.nchunks(); ++c) {
+    EXPECT_LT(plan.row_begin(c), plan.row_end(c));
+  }
+  for (std::size_t th = 0; th < 4; ++th) {
+    EXPECT_EQ(plan.bounds[plan.owner_begin[th]], threads.row_begin(th));
+    EXPECT_EQ(plan.bounds[plan.owner_begin[th + 1]], threads.row_end(th));
   }
 }
 

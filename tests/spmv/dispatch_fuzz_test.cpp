@@ -193,12 +193,14 @@ INSTANTIATE_TEST_SUITE_P(Swarm, NumaFuzz, ::testing::Range(0, 21));
 
 // Scheduler determinism: chunk boundaries are row-aligned, so whatever
 // worker executes a chunk, every row's dot product keeps its serial
-// accumulation order — SPC_SCHED must not change results at all at the
-// scalar tier, and stays within reassociation noise at vector tiers
-// (where the per-row sum itself is lane-split, exactly as under static).
+// accumulation order — the multithreaded instance (which steals for
+// these formats) must match the 1-thread instance bit for bit at the
+// scalar tier, under every NUMA policy and with or without column
+// tiling, and stays within reassociation noise of the oracle at the
+// vector tiers (where the per-row sum itself is lane-split).
 class SchedFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(SchedFuzz, DynamicSchedulesMatchStaticAcrossFormatsAndTiers) {
+TEST_P(SchedFuzz, MultithreadedMatchesSerialAcrossFormatsNumaTilingAndTiers) {
   const Triplets t = fuzz_matrix(GetParam());
   if (t.nnz() == 0) {
     GTEST_SKIP() << "degenerate draw";
@@ -208,41 +210,41 @@ TEST_P(SchedFuzz, DynamicSchedulesMatchStaticAcrossFormatsAndTiers) {
   const Vector y_ref = test::reference_spmv(t, x);
 
   InstanceOptions opts;
-  opts.pin_threads = false;
-  // Far below the L2-derived default so the fuzz matrices (a few knnz)
-  // actually split into many chunks and steals genuinely happen.
-  opts.chunk_nnz = 64;
+  opts.pin_threads = true;  // NUMA placement needs pinned workers
   for (const IsaTier tier : available_isa_tiers()) {
     test::ScopedEnv isa("SPC_ISA", isa_tier_name(tier).c_str());
-    for (const Format f : numa_formats()) {
-      if (f == Format::kCsr16 && !csr16_applicable(t)) {
-        continue;
-      }
-      Vector y_static(t.nrows(), 0.0);
-      {
-        test::ScopedEnv sched("SPC_SCHED", "static");
-        SpmvInstance inst(t, f, 4, opts);
-        ASSERT_EQ(inst.schedule(), Schedule::kStatic);
-        inst.run(x, y_static);
-      }
-      // Static must itself be correct before it can anchor the others.
-      // (Tolerance, not bit-identity: BCSR pads blocks with explicit
-      // zeros and so accumulates in a different order than the oracle.)
-      ASSERT_LT(rel_error(y_ref, y_static), kVectorTol) << format_name(f);
-      for (const char* name : {"chunked", "steal"}) {
-        test::ScopedEnv sched("SPC_SCHED", name);
-        SpmvInstance inst(t, f, 4, opts);
-        Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-        inst.run(x, y);
-        const std::string what = format_name(f) + " " + name + " @" +
-                                 isa_tier_name(tier) + " seed " +
-                                 std::to_string(GetParam());
-        if (tier == IsaTier::kScalar) {
-          // Same kernel, same rows, same per-row accumulation order —
-          // the executor assignment must be invisible in the bits.
-          EXPECT_EQ(max_abs_diff(y_static, y), 0.0) << what;
-        } else {
-          EXPECT_LT(rel_error(y_ref, y), kVectorTol) << what;
+    for (const char* tile : {"off", "256"}) {
+      test::ScopedEnv tiling("SPC_TILE", tile);
+      for (const Format f : numa_formats()) {
+        if (f == Format::kCsr16 && !csr16_applicable(t)) {
+          continue;
+        }
+        Vector y_serial(t.nrows(), 0.0);
+        {
+          SpmvInstance inst(t, f, 1, opts);
+          inst.run(x, y_serial);
+        }
+        // The serial instance must itself be correct before it can
+        // anchor the others. (Tolerance, not bit-identity: BCSR pads
+        // blocks with explicit zeros and so accumulates in a different
+        // order than the oracle.)
+        ASSERT_LT(rel_error(y_ref, y_serial), kVectorTol) << format_name(f);
+        for (const char* numa : {"off", "local", "replicate"}) {
+          test::ScopedEnv placement("SPC_NUMA", numa);
+          SpmvInstance inst(t, f, 4, opts);
+          EXPECT_EQ(inst.schedule(), Schedule::kSteal) << format_name(f);
+          Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
+          inst.run(x, y);
+          const std::string what =
+              format_name(f) + " numa=" + numa + " tile=" + tile + " @" +
+              isa_tier_name(tier) + " seed " + std::to_string(GetParam());
+          if (tier == IsaTier::kScalar) {
+            // Same kernel, same rows, same per-row accumulation order —
+            // the executor assignment must be invisible in the bits.
+            EXPECT_EQ(max_abs_diff(y_serial, y), 0.0) << what;
+          } else {
+            EXPECT_LT(rel_error(y_ref, y), kVectorTol) << what;
+          }
         }
       }
     }

@@ -1,10 +1,12 @@
-// SpmvInstance-level behavior of the work-stealing scheduler: policy
-// resolution (options + SPC_SCHED), chunk accounting, result identity,
-// and the static default staying untouched.
+// SpmvInstance-level behavior of the work-stealing scheduler: which
+// instances steal (the format decides, nothing is requested), chunk
+// accounting, granularity of the derived chunk target, and result
+// identity with the 1-thread instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
-#include <numeric>
+#include <memory>
 
 #include "spc/gen/generators.hpp"
 #include "spc/spmv/instance.hpp"
@@ -13,15 +15,9 @@
 namespace spc {
 namespace {
 
-Triplets skewed_matrix() {
-  // Power-law-ish row lengths so chunking is non-trivial: a few dense
-  // rows among many sparse ones.
-  Rng rng(424242);
-  Triplets t = gen_rmat(10, 20000, rng, ValueModel::random());
-  return t;
-}
-
-const std::vector<Format>& sched_formats() {
+// The formats whose per-thread work is a row range of one kernel
+// writing only its own rows of y.
+const std::vector<Format>& stealable_formats() {
   static const std::vector<Format> kFormats = {
       Format::kCsr,    Format::kCsr16,    Format::kCsrVi,
       Format::kCsrDu,  Format::kCsrDuRle, Format::kCsrDuVi,
@@ -30,113 +26,140 @@ const std::vector<Format>& sched_formats() {
   return kFormats;
 }
 
-// Most tests here program the schedule through InstanceOptions; an
-// ambient SPC_SCHED (the CI steal leg exports one suite-wide) would
-// override every one of them, so they pin it to empty (= use options).
+bool is_stealable(Format f) {
+  const auto& s = stealable_formats();
+  return std::find(s.begin(), s.end(), f) != s.end();
+}
 
-TEST(SchedInstance, StaticIsTheDefaultAndCarriesNoChunkState) {
-  test::ScopedEnv sched("SPC_SCHED", "");
+Triplets skewed_matrix() {
+  // Power-law-ish row lengths so chunking is non-trivial: a few dense
+  // rows among many sparse ones.
+  Rng rng(424242);
+  return gen_rmat(10, 20000, rng, ValueModel::random());
+}
+
+// Large enough that the derived chunk target gives several chunks per
+// worker at 4 threads (nnz >= 4 * 4 * 1024).
+Triplets granular_matrix() {
+  Rng rng(21);
+  return test::random_triplets(6000, 6000, 120000, rng);
+}
+
+void expect_no_schedule_decision(const SpmvInstance& inst,
+                                 const std::string& what) {
+  for (const InstanceDecision& d : inst.decisions()) {
+    EXPECT_NE(d.aspect, "schedule") << what << ": " << d.reason;
+  }
+}
+
+TEST(SchedInstance, EveryFormatPicksItsSchedule) {
+  // Symmetric, so the symmetric formats encode too.
+  const Triplets t = gen_laplacian_2d(40, 40);
+  ASSERT_TRUE(SymCsr::applicable(t));
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  for (const Format f : all_formats()) {
+    if (f == Format::kCsr16 && !csr16_applicable(t)) {
+      continue;
+    }
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SpmvInstance inst(t, f, threads, opts);
+      const std::string what =
+          format_name(f) + " x" + std::to_string(threads);
+      const bool steals = threads > 1 && is_stealable(f);
+      EXPECT_EQ(inst.schedule(),
+                steals ? Schedule::kSteal : Schedule::kStatic)
+          << what;
+      EXPECT_EQ(inst.sched_chunks() > 0, steals) << what;
+      expect_no_schedule_decision(inst, what);
+    }
+  }
+}
+
+TEST(SchedInstance, SharedPoolInstancesPickTheSameWay) {
   const Triplets t = skewed_matrix();
-  SpmvInstance inst(t, Format::kCsr, 4);
+  auto pool = std::make_shared<ThreadPool>(2, std::vector<int>{});
+  for (const Format f : {Format::kCsr, Format::kCsrDu, Format::kCsc,
+                         Format::kJds}) {
+    SpmvInstance inst(t, f, pool);
+    EXPECT_EQ(inst.schedule(),
+              is_stealable(f) ? Schedule::kSteal : Schedule::kStatic)
+        << format_name(f);
+    expect_no_schedule_decision(inst, format_name(f));
+  }
+}
+
+TEST(SchedInstance, OpenMpBackendRunsStatic) {
+  // setup_schedule is pool-only; without OpenMP support the backend
+  // resolves to the pool and the format decides again.
+  const Triplets t = skewed_matrix();
+  InstanceOptions opts;
+  opts.backend = Backend::kOpenMP;
+  opts.pin_threads = false;
+  SpmvInstance inst(t, Format::kCsr, 2, opts);
+  EXPECT_EQ(inst.schedule(),
+            openmp_available() ? Schedule::kStatic : Schedule::kSteal);
+  expect_no_schedule_decision(inst, "openmp");
+}
+
+TEST(SchedInstance, EmptyMatrixChunkPlanDegeneratesToStatic) {
+  const Triplets t(0, 8);
+  InstanceOptions opts;
+  opts.pin_threads = false;
+  SpmvInstance inst(t, Format::kCsr, 2, opts);
   EXPECT_EQ(inst.schedule(), Schedule::kStatic);
   EXPECT_EQ(inst.sched_chunks(), 0u);
-  EXPECT_EQ(inst.sched_steals_total(), 0u);
+  expect_no_schedule_decision(inst, "empty");
+  const Vector x(8, 1.0);
+  Vector y;
+  inst.run(x, y);
 }
 
-TEST(SchedInstance, OptionsSelectTheSchedule) {
-  test::ScopedEnv sched("SPC_SCHED", "");
-  const Triplets t = skewed_matrix();
+TEST(SchedInstance, DerivedTargetGivesSeveralChunksPerWorker) {
+  // The L2-derived target alone would leave a matrix this size at one
+  // chunk per worker on a large L2; the adaptive shrink keeps >= ~4.
+  const Triplets t = granular_matrix();
   InstanceOptions opts;
   opts.pin_threads = false;
-  opts.chunk_nnz = 1024;
-  for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-    opts.schedule = s;
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
-    EXPECT_EQ(inst.schedule(), s);
-    EXPECT_GT(inst.sched_chunks(), 4u);
+  for (const std::size_t threads : {2u, 4u}) {
+    for (const Format f : stealable_formats()) {
+      if (f == Format::kCsr16 && !csr16_applicable(t)) {
+        continue;
+      }
+      SpmvInstance inst(t, f, threads, opts);
+      ASSERT_EQ(inst.schedule(), Schedule::kSteal) << format_name(f);
+      EXPECT_GE(inst.sched_chunks(), 4 * threads)
+          << format_name(f) << " x" << threads;
+    }
   }
 }
 
-TEST(SchedInstance, DerivedTargetKeepsStealGranular) {
-  // With the L2-derived target a small matrix would collapse to one
-  // chunk per worker — useless for stealing. The derived path shrinks
-  // the target toward >= 4 chunks per worker; an explicit chunk_nnz is
-  // honored verbatim.
-  test::ScopedEnv sched("SPC_SCHED", "");
-  test::ScopedEnv chunk("SPC_CHUNK_NNZ", "");
-  Rng rng(21);
-  const Triplets t = test::random_triplets(2000, 2000, 40000, rng);
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  opts.schedule = Schedule::kSteal;
-  {
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
-    EXPECT_GE(inst.sched_chunks(), 8u);
-  }
-  {
-    opts.chunk_nnz = usize_t{1} << 20;  // far above nnz: one per worker
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
-    EXPECT_EQ(inst.sched_chunks(), 4u);
-  }
-}
-
-TEST(SchedInstance, EnvOverridesOptions) {
-  const Triplets t = skewed_matrix();
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  opts.chunk_nnz = 1024;
-  test::ScopedEnv env("SPC_SCHED", "steal");
-  SpmvInstance inst(t, Format::kCsr, 4, opts);
-  EXPECT_EQ(inst.schedule(), Schedule::kSteal);
-}
-
-TEST(SchedInstance, UnsupportedFormatsFallBackToStatic) {
-  test::ScopedEnv sched("SPC_SCHED", "");
+TEST(SchedInstance, SmallMatrixKeepsOneChunkPerWorkerAndSteals) {
+  // Below 4 * threads * 1024 nnz the planner's floor wins: one chunk
+  // per worker, which is still a plan (whole ranges may move).
   Rng rng(7);
   const Triplets t = test::random_triplets(300, 300, 4000, rng);
   InstanceOptions opts;
   opts.pin_threads = false;
-  opts.schedule = Schedule::kSteal;
-  opts.chunk_nnz = 64;
-  for (const Format f :
-       {Format::kCsc, Format::kDia, Format::kJds, Format::kCoo,
-        Format::kDcsr}) {
-    SpmvInstance inst(t, f, 4, opts);
-    EXPECT_EQ(inst.schedule(), Schedule::kStatic) << format_name(f);
-    EXPECT_EQ(inst.sched_chunks(), 0u) << format_name(f);
-    // And it still computes the right answer.
-    Rng xr(8);
-    const Vector x = random_vector(t.ncols(), xr);
-    Vector y(t.nrows(), 0.0);
-    inst.run(x, y);
-    EXPECT_LT(rel_error(test::reference_spmv(t, x), y), 1e-12)
-        << format_name(f);
-  }
-}
-
-TEST(SchedInstance, SerialInstancesStayStatic) {
-  test::ScopedEnv sched("SPC_SCHED", "");
-  const Triplets t = skewed_matrix();
-  InstanceOptions opts;
-  opts.schedule = Schedule::kSteal;
-  SpmvInstance inst(t, Format::kCsr, 1, opts);
-  EXPECT_EQ(inst.schedule(), Schedule::kStatic);
+  SpmvInstance inst(t, Format::kCsr, 4, opts);
+  EXPECT_EQ(inst.schedule(), Schedule::kSteal);
+  EXPECT_EQ(inst.sched_chunks(), 4u);
 }
 
 TEST(SchedInstance, ExecutedChunkCountsSumToPlanTimesRuns) {
-  test::ScopedEnv sched("SPC_SCHED", "");
-  const Triplets t = skewed_matrix();
+  const Triplets t = granular_matrix();
   Rng xr(9);
   const Vector x = random_vector(t.ncols(), xr);
   Vector y(t.nrows(), 0.0);
   InstanceOptions opts;
   opts.pin_threads = false;
-  opts.chunk_nnz = 1024;
-  for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-    opts.schedule = s;
-    SpmvInstance inst(t, Format::kCsr, 4, opts);
+  for (const Format f : stealable_formats()) {
+    if (f == Format::kCsr16 && !csr16_applicable(t)) {
+      continue;
+    }
+    SpmvInstance inst(t, f, 4, opts);
     const std::size_t chunks = inst.sched_chunks();
-    ASSERT_GT(chunks, 0u);
+    ASSERT_GT(chunks, 0u) << format_name(f);
     constexpr std::uint64_t kRuns = 5;
     for (std::uint64_t i = 0; i < kRuns; ++i) {
       inst.run(x, y);
@@ -145,14 +168,10 @@ TEST(SchedInstance, ExecutedChunkCountsSumToPlanTimesRuns) {
     for (std::size_t th = 0; th < inst.nthreads(); ++th) {
       executed += inst.sched_executed(th);
     }
-    EXPECT_EQ(executed, kRuns * chunks) << schedule_name(s);
-    if (s == Schedule::kChunked) {
-      EXPECT_EQ(inst.sched_steals_total(), 0u);
-    } else {
-      // Steals are opportunistic — only the invariant total is exact;
-      // stolen chunks are a subset of executed ones.
-      EXPECT_LE(inst.sched_steals_total(), executed);
-    }
+    EXPECT_EQ(executed, kRuns * chunks) << format_name(f);
+    // Steals are opportunistic — only the invariant total is exact;
+    // stolen chunks are a subset of executed ones.
+    EXPECT_LE(inst.sched_steals_total(), executed) << format_name(f);
     inst.sched_reset();
     for (std::size_t th = 0; th < inst.nthreads(); ++th) {
       EXPECT_EQ(inst.sched_executed(th), 0u);
@@ -161,56 +180,27 @@ TEST(SchedInstance, ExecutedChunkCountsSumToPlanTimesRuns) {
   }
 }
 
-TEST(SchedInstance, TinyChunksForceManyChunksAndStayExact) {
-  // chunk_nnz far below row lengths: one chunk per row or close to it —
-  // the most deque traffic per nnz the scheduler can see.
-  Rng rng(10);
-  const Triplets t = test::random_triplets(200, 200, 6000, rng);
-  Rng xr(11);
-  const Vector x = random_vector(t.ncols(), xr);
-  const Vector y_ref = test::reference_spmv(t, x);
-  test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv sched("SPC_SCHED", "");
-  InstanceOptions opts;
-  opts.pin_threads = false;
-  opts.chunk_nnz = 1;
-  opts.schedule = Schedule::kSteal;
-  SpmvInstance inst(t, Format::kCsr, 4, opts);
-  EXPECT_GT(inst.sched_chunks(), 100u);
-  for (int i = 0; i < 10; ++i) {
-    Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
-    inst.run(x, y);
-    ASSERT_EQ(max_abs_diff(y_ref, y), 0.0) << "run " << i;
-  }
-}
-
-TEST(SchedInstance, EveryFormatMatchesStaticBitForBitAtScalar) {
-  const Triplets t = skewed_matrix();
+TEST(SchedInstance, EveryFormatMatchesTheSerialInstanceBitForBitAtScalar) {
+  const Triplets t = granular_matrix();
   Rng xr(12);
   const Vector x = random_vector(t.ncols(), xr);
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv sched("SPC_SCHED", "");
   InstanceOptions opts;
   opts.pin_threads = false;
-  opts.chunk_nnz = 2048;
-  for (const Format f : sched_formats()) {
+  for (const Format f : stealable_formats()) {
     if (f == Format::kCsr16 && !csr16_applicable(t)) {
       continue;
     }
-    Vector y_static(t.nrows(), 0.0);
-    {
-      opts.schedule = Schedule::kStatic;
-      SpmvInstance inst(t, f, 4, opts);
-      inst.run(x, y_static);
-    }
-    for (const Schedule s : {Schedule::kChunked, Schedule::kSteal}) {
-      opts.schedule = s;
-      SpmvInstance inst(t, f, 4, opts);
-      ASSERT_EQ(inst.schedule(), s) << format_name(f);
+    Vector y_serial(t.nrows(), 0.0);
+    SpmvInstance serial(t, f, 1, opts);
+    serial.run(x, y_serial);
+    SpmvInstance inst(t, f, 4, opts);
+    ASSERT_EQ(inst.schedule(), Schedule::kSteal) << format_name(f);
+    for (int run = 0; run < 5; ++run) {
       Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
       inst.run(x, y);
-      EXPECT_EQ(max_abs_diff(y_static, y), 0.0)
-          << format_name(f) << " " << schedule_name(s);
+      ASSERT_EQ(max_abs_diff(y_serial, y), 0.0)
+          << format_name(f) << " run " << run;
     }
   }
 }
@@ -219,16 +209,13 @@ TEST(SchedInstance, StealComposesWithNumaPolicies) {
   // Chunk closures must follow the repacked slices: bit-identical
   // results whatever SPC_NUMA says (single-node CI resolves local to a
   // 1-node repack, which still moves the arrays).
-  const Triplets t = skewed_matrix();
+  const Triplets t = granular_matrix();
   Rng xr(13);
   const Vector x = random_vector(t.ncols(), xr);
   test::ScopedEnv isa("SPC_ISA", "scalar");
-  test::ScopedEnv sched("SPC_SCHED", "");
   InstanceOptions opts;
   opts.pin_threads = true;  // placement needs pinned workers
-  opts.chunk_nnz = 2048;
-  opts.schedule = Schedule::kSteal;
-  for (const Format f : sched_formats()) {
+  for (const Format f : stealable_formats()) {
     if (f == Format::kCsr16 && !csr16_applicable(t)) {
       continue;
     }
@@ -241,6 +228,8 @@ TEST(SchedInstance, StealComposesWithNumaPolicies) {
     for (const char* policy : {"local", "replicate", "interleaved"}) {
       test::ScopedEnv numa("SPC_NUMA", policy);
       SpmvInstance inst(t, f, 4, opts);
+      EXPECT_EQ(inst.schedule(), Schedule::kSteal)
+          << format_name(f) << " " << policy;
       EXPECT_NE(inst.numa_policy(), NumaPolicy::kOff)
           << format_name(f) << " " << policy;
       Vector y(t.nrows(), std::numeric_limits<double>::quiet_NaN());
